@@ -169,7 +169,9 @@ def one_stage_asymptotic_variance(theta: float, theta0: float,
     (1/4) (1/t_eps)^2 * (1 - t_eps^2 (1 - 2 Phi(theta0 - theta))^2)
     / pdf(theta - theta0)^2.  Matches the optimal variance at theta0 =
     theta and deteriorates exponentially as the guess drifts; depends on
-    the arguments only through |theta - theta0|.  Infinite at t_eps = 0.
+    the arguments only through |theta - theta0|.  Infinite at t_eps = 0
+    and once pdf(theta - theta0)^2 underflows to 0 (|theta - theta0|
+    above about 27.3).
     """
     t = params.t_eps
     if t == 0.0:
@@ -178,6 +180,8 @@ def one_stage_asymptotic_variance(theta: float, theta0: float,
     bias_factor = 1.0 - 2.0 * std_normal_cdf(theta0 - theta)
     num = 1.0 - t * t * bias_factor * bias_factor
     den = std_normal_pdf(d) ** 2
+    if den == 0.0:
+        return math.inf
     return 0.25 * num / (t * t * den)
 
 

@@ -12,8 +12,17 @@ most significant bit first, via bit * (e^eps - 1) + 1, and mu_j is the
 information contribution of that column.  This module materializes the
 program for small k, solves it exactly with a dense two-phase simplex,
 constructs the explicit dual certificate whose objective equals the sign
-mechanism's information, and exposes the closed-form margin functions
-used to verify the certificate's feasibility region on grids.
+mechanism's information, checks that certificate against every column
+with an exact structured sweep in O(k^2) (any even k up to 2^16, no
+enumeration of the 2^k columns), and exposes the closed-form margin
+functions of the grid proof of feasibility for eps <= 1.048.
+
+The certificate itself stays feasible well beyond that proven bound: its
+threshold is about eps = 1.98 at k = 8 and falls to about 1.71 for
+k >= 1024.  Above it the sweep reports a column with negative slack.
+
+Budgets with a non-finite e^eps (eps above about 709.78, or inf) are
+rejected with ValueError: the staircase entries would overflow.
 
 Index convention: columns are identified everywhere by the integer whose
 binary word generates them (0 .. 2^k - 1).
@@ -27,12 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mechanisms import PrivacyParams
-from .quantized import QuantizedModel, _make_model, row_information_many, sign_fisher_info
+from .quantized import (MAX_LEVEL, QuantizedModel, _make_model, row_information,
+                        row_information_many, sign_fisher_info)
 
-MAX_BUILD_K = 20      # S materialization: 2^k columns
-MAX_SOLVE_K = 12      # dense simplex
-MAX_SWEEP_K = 24      # streamed dual feasibility sweep
-_SWEEP_BLOCK = 1 << 16
+MAX_BUILD_K = 20          # S materialization: 2^k columns
+MAX_SOLVE_K = 12          # dense simplex
+MAX_SWEEP_K = MAX_LEVEL   # structured dual feasibility sweep, O(k^2) corners
+_SWEEP_BLOCK = 1 << 18    # corner slacks evaluated per block of the sweep grid
 
 
 @dataclass(frozen=True)
@@ -63,11 +73,28 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class DualFeasibilityReport:
-    """Outcome of the exhaustive column sweep against a certificate."""
+    """Outcome of the exact certificate sweep over all 2^k columns.
+
+    worst_slack is the minimum of (S_col . beta) - mu(col) over every
+    staircase column, evaluated directly on worst_column, the integer
+    whose binary word (MSB first) generates a column attaining it.
+    Mirror-image columns often tie; either may be reported.
+    """
 
     feasible: bool
     worst_slack: float
     worst_column: int
+
+
+def _exp_epsilon(params: PrivacyParams) -> float:
+    """e^eps, the high staircase entry; a non-finite value is a ValueError."""
+    try:
+        value = math.exp(params.epsilon)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"staircase entries need a finite e^epsilon, got epsilon={params.epsilon!r}")
+    return value
 
 
 def _column_bits(js: np.ndarray, k: int) -> np.ndarray:
@@ -86,7 +113,7 @@ def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
         raise ValueError(f"k must satisfy 2 <= k <= {MAX_BUILD_K}, got {k!r}")
     model = _make_model(k)
     js = np.arange(1 << k, dtype=np.int64)
-    S = _column_bits(js, k).T * (math.exp(params.epsilon) - 1.0) + 1.0
+    S = _column_bits(js, k).T * (_exp_epsilon(params) - 1.0) + 1.0
     mu_vec = row_information_many(S, model)
     S.setflags(write=False)
     mu_vec.setflags(write=False)
@@ -225,33 +252,66 @@ def dual_certificate(k: int, params: PrivacyParams) -> DualCertificate:
 
 def check_dual_feasibility(k: int, params: PrivacyParams,
                            tol: float = 1e-9) -> DualFeasibilityReport:
-    """Sweep all 2^k staircase columns against the closed-form certificate.
+    """Exact minimum slack of the certificate over all 2^k staircase columns.
 
-    Columns are generated blockwise from a binary counter instead of
-    materializing S, which keeps k <= 24 tractable.  The report carries
-    the minimum slack (S_col . beta) - mu(col) and the integer whose
-    binary word attains it.
+    With ones on the index set B, a column's slack (S_col . beta) -
+    mu(col) depends only on the counts (m1, m2) of B in the lower and
+    upper halves and on the |y| mass (A1, A2) that B picks up there:
+    sum(y) = 0 and beta_j is affine in |y_j|.  For fixed (m1, m2) the
+    slack is concave in (A1, A2), so its minimum sits at one of the four
+    corners built from the m smallest or m largest |y| values of each
+    half.  The sweep evaluates those (k/2 + 1)^2 * 4 corners from prefix
+    sums, a block of m1 rows at a time, then rebuilds the worst corner as
+    its column word and reports that column's directly evaluated slack.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"sweep requires an even k >= 2, got {k!r}")
     if k > MAX_SWEEP_K:
         raise ValueError(f"sweep supports k <= {MAX_SWEEP_K}, got {k}")
+    scale = _exp_epsilon(params) - 1.0
     model = _make_model(k)
     beta = dual_certificate(k, params).beta
-    scale = math.exp(params.epsilon) - 1.0
-    worst_slack = math.inf
-    worst_column = 0
-    total = 1 << k
-    for start in range(0, total, _SWEEP_BLOCK):
-        js = np.arange(start, min(start + _SWEEP_BLOCK, total), dtype=np.int64)
-        cols = _column_bits(js, k) * scale + 1.0  # (block, k)
-        lhs = cols @ beta
-        mu = k * (cols @ model.y) ** 2 / cols.sum(axis=1)
-        slack = lhs - mu
-        i = int(np.argmin(slack))
-        if slack[i] < worst_slack:
-            worst_slack = float(slack[i])
-            worst_column = int(js[i])
+    half = k // 2
+    # Per half: index orders by ascending and by descending |y|, shape (2, half).
+    orders = []
+    for offset in (0, half):
+        asc = offset + np.argsort(np.abs(model.y[offset:offset + half]), kind="stable")
+        orders.append(np.stack([asc, asc[::-1]]))
+
+    def prefix(order: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Scaled sums over the first m indices of each order, m = 0..half."""
+        out = np.zeros((2, half + 1))
+        np.cumsum(values[order], axis=1, out=out[:, 1:])
+        return scale * out
+
+    lower, upper = orders
+    lower_beta = prefix(lower, beta) + float(beta.sum())
+    lower_dot = prefix(lower, model.y) + float(model.y.sum())
+    upper_beta = prefix(upper, beta)
+    upper_dot = prefix(upper, model.y)
+    counts = scale * np.arange(half + 1)
+
+    rows = max(1, _SWEEP_BLOCK // (4 * (half + 1)))
+    worst = (math.inf, 0, 0, 0, 0)  # (slack, lower order, m1, upper order, m2)
+    for start in range(0, half + 1, rows):
+        m1 = np.arange(start, min(start + rows, half + 1))
+        # (lower order, m1, upper order, m2) grid of corner slacks
+        info = lower_dot[:, m1, None, None] + upper_dot
+        np.square(info, out=info)
+        info *= (k / (k + counts[m1, None] + counts))[:, None, :]
+        slack = lower_beta[:, m1, None, None] + upper_beta
+        slack -= info
+        flat = int(np.argmin(slack))
+        if slack.flat[flat] < worst[0]:
+            a, i, b, m2 = np.unravel_index(flat, slack.shape)
+            worst = (float(slack.flat[flat]), int(a), int(m1[i]), int(b), int(m2))
+    _, a, m1, b, m2 = worst
+    bits = np.zeros(k, dtype=np.uint8)
+    bits[lower[a, :m1]] = 1
+    bits[upper[b, :m2]] = 1
+    col = bits * scale + 1.0
+    worst_slack = float(col @ beta) - row_information(col, model)
+    worst_column = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-k % 8)
     return DualFeasibilityReport(feasible=worst_slack >= -tol,
                                  worst_slack=worst_slack,
                                  worst_column=worst_column)

@@ -103,6 +103,13 @@ class TestLpVerify:
     def test_oversized_level_usage_error(self, capsys):
         assert run_cli(capsys, "lp-verify", "--k", "14", "--epsilon", "1")[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("eps", ["800", "inf"])
+    def test_non_finite_staircase_entry_usage_error(self, capsys, eps):
+        code, out, err = run_cli(capsys, "lp-verify", "--k", "4", "--epsilon", eps)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "epsilon" in err and "Traceback" not in err
+
 
 class TestConfigParsing:
     def test_round_trip(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,12 @@ from ldpmean.lp import (
     solve_primal,
 )
 from ldpmean.mechanisms import privacy_params, rr_matrix, verify_ldp
-from ldpmean.quantized import build_quantized_model, fisher_info_quantized, row_information
+from ldpmean.quantized import (
+    MAX_LEVEL,
+    build_quantized_model,
+    fisher_info_quantized,
+    row_information,
+)
 
 
 def brute_force_optimum(lp):
@@ -37,6 +43,30 @@ def brute_force_optimum(lp):
         if np.all(x >= -1e-10):
             best = max(best, float(lp.mu_vec[list(cols)] @ np.maximum(x, 0.0)))
     return best
+
+
+def enumerated_worst_slack(k, params):
+    """Minimum certificate slack over all 2^k columns, enumerated directly.
+
+    Reference for the structured sweep: builds every staircase column from
+    its binary word and evaluates (S_col . beta) - k (S_col . y)^2 /
+    (S_col . 1) on each.
+    """
+    model = build_quantized_model(k)
+    beta = dual_certificate(k, params).beta
+    js = np.arange(1 << k, dtype=np.int64)
+    bits = (js[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1
+    cols = bits * (math.exp(params.epsilon) - 1.0) + 1.0
+    slack = cols @ beta - k * (cols @ model.y) ** 2 / cols.sum(axis=1)
+    return float(slack.min())
+
+
+def direct_slack(column, k, params):
+    """Certificate slack of one column word, evaluated from its bits."""
+    bits = np.array([(column >> (k - 1 - i)) & 1 for i in range(k)])
+    col = bits * (math.exp(params.epsilon) - 1.0) + 1.0
+    beta = dual_certificate(k, params).beta
+    return float(col @ beta) - row_information(col, build_quantized_model(k))
 
 
 class TestBuildStaircase:
@@ -218,9 +248,50 @@ class TestDualFeasibility:
         slack = float(col @ cert.beta) - row_information(col, model)
         assert slack == pytest.approx(report.worst_slack, abs=1e-12)
 
+    @pytest.mark.parametrize("k", range(2, 17, 2))
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 1.04, 1.5, 1.9, 2.0, 3.0, 8.0])
+    def test_matches_column_enumeration(self, k, eps):
+        # Mirror-image columns tie, so the reported column may differ from
+        # the enumeration's; its own slack must still be the minimum.
+        params = privacy_params(eps)
+        report = check_dual_feasibility(k, params)
+        worst = enumerated_worst_slack(k, params)
+        assert report.feasible == (worst >= -1e-9)
+        assert report.worst_slack == pytest.approx(worst, abs=1e-12)
+        assert 0 <= report.worst_column < 2 ** k
+        assert direct_slack(report.worst_column, k, params) == pytest.approx(
+            report.worst_slack, abs=1e-12)
+
+    @pytest.mark.parametrize("k,feasible_eps,infeasible_eps",
+                             [(8, 1.95, 2.0), (16, 1.80, 1.87), (1024, 1.70, 1.73)])
+    def test_feasibility_threshold_brackets(self, k, feasible_eps, infeasible_eps):
+        assert check_dual_feasibility(k, privacy_params(feasible_eps)).feasible
+        params = privacy_params(infeasible_eps)
+        report = check_dual_feasibility(k, params)
+        assert not report.feasible
+        assert direct_slack(report.worst_column, k, params) == pytest.approx(
+            report.worst_slack, abs=1e-12)
+
+    def test_large_level_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            report = check_dual_feasibility(4096, privacy_params(1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.feasible
+        assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("eps", [800.0, math.inf])
+    def test_non_finite_staircase_entry_rejected(self, eps):
+        with pytest.raises(ValueError):
+            check_dual_feasibility(4, privacy_params(eps))
+        with pytest.raises(ValueError):
+            build_staircase_lp(4, privacy_params(eps))
+
     def test_cap(self):
         with pytest.raises(ValueError):
-            check_dual_feasibility(26, privacy_params(1.0))
+            check_dual_feasibility(MAX_LEVEL + 2, privacy_params(1.0))
 
 
 class TestWeakDualityChain:

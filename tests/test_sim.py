@@ -74,6 +74,11 @@ class TestTheoreticalReference:
         value = theoretical_reference("one", 0.0, 4.0, params)
         assert math.isfinite(value) and value > 1e3
 
+    def test_one_stage_guess_past_density_underflow(self):
+        # pdf(84.5)^2 underflows to 0: the fig2 guess/true-mean distance
+        value = theoretical_reference("one", 84.5, 0.0, privacy_params(1.0))
+        assert value == math.inf
+
     def test_two_kind_and_sigma(self):
         params = privacy_params(1.0)
         assert theoretical_reference("two", 0.0, 0.0, params, sigma=2.0) == pytest.approx(
