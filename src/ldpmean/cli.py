@@ -16,6 +16,7 @@ re-running it with the recorded seed reproduces the CSV byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,12 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import EstimatorConfig, one_stage, rescaled_estimate, three_stage, two_stage
+from .estimators import EstimatorConfig, optimal_asymptotic_variance
 from .lp import equality_chain
 from .mechanisms import privacy_params
 from .quantized import build_quantized_model, embed_sign_channel, fisher_info_quantized, sign_fisher_info
-from .estimators import optimal_asymptotic_variance
-from .sim import BudgetError, ExperimentConfig, results_to_csv, run_experiment
+from .sim import (ESTIMATOR_KINDS, BudgetError, ExperimentConfig, estimate, results_to_csv,
+                  run_experiment, synthetic_sample)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,13 +78,27 @@ def _emit(payload: dict) -> None:
 
 # --- config file handling ---------------------------------------------------
 
-_SIM_KEYS = ("kind", "epsilon", "theta_true", "theta0", "h", "n", "n1", "n0",
-             "bits", "range_lo", "range_hi", "sigma", "replicates", "sweep",
-             "sweep_values", "max_total_draws")
-_SIM_REQUIRED = ("kind", "epsilon", "theta_true", "n", "replicates", "sweep",
-                 "sweep_values")
-_INT_KEYS = {"n", "n1", "n0", "bits", "replicates", "max_total_draws"}
-_FLOAT_KEYS = {"epsilon", "theta_true", "theta0", "h", "range_lo", "range_hi", "sigma"}
+def real(raw: str) -> float:
+    """float() that refuses NaN; +-inf pass (epsilon = inf is a valid budget)."""
+    value = float(raw)
+    if math.isnan(value):
+        raise ValueError(f"expected a number, got {raw!r}")
+    return value
+
+
+def _real_list(raw: str) -> tuple[float, ...]:
+    values = tuple(real(tok) for tok in raw.split(",") if tok.strip())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+# Config-file key -> ExperimentConfig field; master_seed comes from --seed.
+_CONFIG_FIELDS = {f.metadata.get("key", f.name): f
+                  for f in dataclasses.fields(ExperimentConfig) if f.name != "master_seed"}
+# Keyed by the annotation text (annotations are postponed, hence strings).
+_CONVERTERS = {"str": str, "int": int, "int | None": int, "float": real,
+               "tuple[float, ...]": _real_list}
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -107,80 +122,47 @@ def parse_kv(text: str) -> dict[str, str]:
 
 def _convert(key: str, raw: str):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "sweep_values":
-            values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-            if not values:
-                raise ValueError("empty list")
-            return values
+        return _CONVERTERS[_CONFIG_FIELDS[key].type](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
-    return raw
 
 
 def experiment_config_from_text(text: str, master_seed: int,
                                 replicates_override: int | None = None) -> ExperimentConfig:
     """Build an ``ExperimentConfig`` from config-file text plus the seed flag."""
     raw = parse_kv(text)
-    unknown = set(raw) - set(_SIM_KEYS)
+    unknown = set(raw) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = [k for k in _SIM_REQUIRED if k not in raw]
+    missing = [key for key, f in _CONFIG_FIELDS.items()
+               if f.default is dataclasses.MISSING and key not in raw]
     if missing:
         raise ConfigError(f"missing required config keys: {missing}")
-    values = {k: _convert(k, v) for k, v in raw.items()}
+    values = {_CONFIG_FIELDS[k].name: _convert(k, v) for k, v in raw.items()}
     if replicates_override is not None:
         values["replicates"] = replicates_override
-    kwargs = dict(
-        kind=values["kind"],
-        epsilon=values["epsilon"],
-        theta_true=values["theta_true"],
-        n=values["n"],
-        replicates=values["replicates"],
-        master_seed=master_seed,
-        sweep_name=values["sweep"],
-        sweep_values=values["sweep_values"],
-    )
-    for key, target in (("theta0", "theta0"), ("h", "h_over_sqrt_n"),
-                        ("n1", "n1"), ("n0", "n0"), ("bits", "bits"),
-                        ("range_lo", "range_lo"), ("range_hi", "range_hi"),
-                        ("sigma", "sigma"), ("max_total_draws", "max_total_draws")):
-        if key in values:
-            kwargs[target] = values[key]
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(master_seed=master_seed, **values)
 
 
 def manifest_text(config: ExperimentConfig, output_path: str) -> str:
-    """Render the run manifest; the non-comment lines re-parse as a config."""
-    meta = [
+    """Render the run manifest; the non-comment lines re-parse as a config.
+
+    Keys follow the field order of ``ExperimentConfig``; an unset n1 is
+    left out.
+    """
+    lines = [
         f"# manifest written by ldpmean {__version__}",
         "# subcommand = simulate",
         f"# master_seed = {config.master_seed}",
         f"# output_csv = {output_path}",
     ]
-    body = [
-        f"kind = {config.kind}",
-        f"epsilon = {config.epsilon!r}",
-        f"theta_true = {config.theta_true!r}",
-        f"theta0 = {config.theta0!r}",
-        f"h = {config.h_over_sqrt_n!r}",
-        f"n = {config.n}",
-        f"n0 = {config.n0}",
-        f"bits = {config.bits}",
-        f"range_lo = {config.range_lo!r}",
-        f"range_hi = {config.range_hi!r}",
-        f"sigma = {config.sigma!r}",
-        f"replicates = {config.replicates}",
-        f"sweep = {config.sweep_name}",
-        "sweep_values = " + ",".join(repr(v) for v in config.sweep_values),
-        f"max_total_draws = {config.max_total_draws}",
-    ]
-    if config.n1 is not None:
-        body.insert(6, f"n1 = {config.n1}")
-    return "\n".join(meta + body) + "\n"
+    for key, f in _CONFIG_FIELDS.items():
+        value = getattr(config, f.name)
+        if isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 # --- subcommands ------------------------------------------------------------
@@ -251,25 +233,13 @@ def _cmd_estimate(args) -> int:
             print(f"error: cannot read data: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        data = rng.standard_normal(args.n)
-        if args.sigma != 1.0:
-            data *= args.sigma
-        if args.theta != 0.0:
-            data += args.theta
+        data = synthetic_sample(args.n, args.theta, args.sigma, rng)
+    if not np.isfinite(data).all():
+        raise ValueError("data values must be finite")
     cfg = EstimatorConfig(epsilon=args.epsilon, theta0=args.theta0, n1=args.n1,
                           n0=args.n0, bits=args.bits, range_lo=args.range_lo,
-                          range_hi=args.range_hi, sigma=args.sigma)
-    if args.kind == "one":
-        result = one_stage(data, cfg, rng)
-    elif args.kind == "two":
-        if args.sigma != 1.0:
-            result = rescaled_estimate(data, args.sigma, cfg, rng)
-        else:
-            result = two_stage(data, cfg, rng)
-    else:
-        if args.sigma != 1.0:
-            raise _UsageError("sigma != 1 is supported with --kind two only")
-        result = three_stage(data, cfg, rng)
+                          range_hi=args.range_hi)
+    result = estimate(args.kind, data, cfg, args.sigma, rng)
     _emit({
         "theta_hat": result.theta_hat,
         "stages": list(result.stage_estimates),
@@ -309,20 +279,20 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate from a data file or synthetic draws")
-    p.add_argument("--kind", choices=("one", "two", "three"), default="two")
+    p.add_argument("--kind", choices=ESTIMATOR_KINDS, default="two")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--theta0", type=float, default=0.0)
+    p.add_argument("--theta0", type=real, default=0.0)
     p.add_argument("--n1", type=int, default=None)
     p.add_argument("--n0", type=int, default=15_000)
     p.add_argument("--bits", type=int, default=7)
-    p.add_argument("--range-lo", type=float, default=0.0)
-    p.add_argument("--range-hi", type=float, default=128.0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--range-lo", type=real, default=0.0)
+    p.add_argument("--range-hi", type=real, default=128.0)
+    p.add_argument("--sigma", type=real, default=1.0)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="newline-delimited reals")
     src.add_argument("--synthetic", action="store_true", help="draw N(theta, sigma^2) data")
-    p.add_argument("--theta", type=float, default=0.0, help="synthetic true mean")
+    p.add_argument("--theta", type=real, default=0.0, help="synthetic true mean")
     p.add_argument("--n", type=int, default=None, help="synthetic sample count")
     p.set_defaults(func=_cmd_estimate)
     return parser

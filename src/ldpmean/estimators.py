@@ -32,8 +32,7 @@ class EstimatorConfig:
 
     n1 is the pilot group size for the two- and three-stage procedures
     (None selects the floor(n^0.7) heuristic); n0 and bits configure the
-    three-stage bisection over [range_lo, range_hi]; sigma is the known
-    scale of the data (1 unless estimating through ``rescaled_estimate``).
+    three-stage bisection over [range_lo, range_hi].
     """
 
     epsilon: float
@@ -43,7 +42,6 @@ class EstimatorConfig:
     bits: int = 7
     range_lo: float = 0.0
     range_hi: float = 128.0
-    sigma: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,7 @@ def rescaled_estimate(data, sigma: float, config: EstimatorConfig,
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
     scaled = np.asarray(data, dtype=float) / sigma
-    inner = two_stage(scaled, replace(config, theta0=config.theta0 / sigma, sigma=1.0), rng)
+    inner = two_stage(scaled, replace(config, theta0=config.theta0 / sigma), rng)
     return EstimateResult(
         theta_hat=sigma * inner.theta_hat,
         stage_estimates=tuple(sigma * s for s in inner.stage_estimates),

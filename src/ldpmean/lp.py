@@ -10,7 +10,7 @@ program over mixtures of the 2^k staircase columns:
 where column j of S (0-based) encodes the binary word of the integer j,
 most significant bit first, via bit * (e^eps - 1) + 1, and mu_j is the
 information contribution of that column.  This module materializes the
-program for small k, solves it exactly with a dense two-phase simplex,
+program for small even k, solves it exactly with a dense two-phase simplex,
 constructs the explicit dual certificate whose objective equals the sign
 mechanism's information, checks that certificate against every column
 with an exact structured sweep in O(k^2) (any even k up to 2^16, no
@@ -36,12 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mechanisms import PrivacyParams
-from .quantized import (MAX_LEVEL, QuantizedModel, _make_model, row_information,
+from .quantized import (QuantizedModel, build_quantized_model, row_information,
                         row_information_many, sign_fisher_info)
 
 MAX_BUILD_K = 20          # S materialization: 2^k columns
 MAX_SOLVE_K = 12          # dense simplex
-MAX_SWEEP_K = MAX_LEVEL   # structured dual feasibility sweep, O(k^2) corners
 _SWEEP_BLOCK = 1 << 18    # corner slacks evaluated per block of the sweep grid
 
 
@@ -103,15 +102,17 @@ def _column_bits(js: np.ndarray, k: int) -> np.ndarray:
     return ((js[:, None] >> shifts[None, :]) & 1).astype(float)
 
 
-def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
-    """Materialize S and mu for 2 <= k <= 20.
+def _check_tol(tol: float) -> None:
+    """A NaN or negative tolerance would turn every check into a failure."""
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
 
-    Odd k is accepted for structural inspection of S; optimality
-    semantics (candidate point, certificate) require even k.
-    """
-    if k < 2 or k > MAX_BUILD_K:
+
+def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
+    """Materialize S and mu for even 2 <= k <= 20."""
+    if k > MAX_BUILD_K:
         raise ValueError(f"k must satisfy 2 <= k <= {MAX_BUILD_K}, got {k!r}")
-    model = _make_model(k)
+    model = build_quantized_model(k)
     js = np.arange(1 << k, dtype=np.int64)
     S = _column_bits(js, k).T * (_exp_epsilon(params) - 1.0) + 1.0
     mu_vec = row_information_many(S, model)
@@ -209,8 +210,6 @@ def sign_candidate(lp: StaircaseLp) -> PrimalSolution:
     S alpha = 1 holds by construction, and the objective equals the sign
     mechanism's Fisher information.
     """
-    if lp.k % 2 != 0:
-        raise ValueError("candidate point requires an even level k")
     half = lp.k // 2
     lower_ones = int("0" * half + "1" * half, 2)
     upper_ones = int("1" * half + "0" * half, 2)
@@ -241,9 +240,7 @@ def dual_certificate(k: int, params: PrivacyParams) -> DualCertificate:
     sum telescopes to 2 * pdf(0), the total is exactly the sign
     mechanism's information; beta is symmetric under j -> k + 1 - j.
     """
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"certificate requires an even k >= 2, got {k!r}")
-    model = _make_model(k)
+    model = build_quantized_model(k)
     t2 = params.t_eps * params.t_eps
     beta = -2.0 * t2 / (math.pi * k) + np.abs(model.y) * t2 * math.sqrt(8.0 / math.pi)
     beta.setflags(write=False)
@@ -264,12 +261,9 @@ def check_dual_feasibility(k: int, params: PrivacyParams,
     sums, a block of m1 rows at a time, then rebuilds the worst corner as
     its column word and reports that column's directly evaluated slack.
     """
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"sweep requires an even k >= 2, got {k!r}")
-    if k > MAX_SWEEP_K:
-        raise ValueError(f"sweep supports k <= {MAX_SWEEP_K}, got {k}")
+    _check_tol(tol)
     scale = _exp_epsilon(params) - 1.0
-    model = _make_model(k)
+    model = build_quantized_model(k)
     beta = dual_certificate(k, params).beta
     half = k // 2
     # Per half: index orders by ascending and by descending |y|, shape (2, half).
@@ -366,8 +360,9 @@ def equality_chain(k: int, params: PrivacyParams, tol: float = 1e-8) -> dict:
     The chain holds when the candidate value, the primal optimum and the
     certificate sum all coincide with (2/pi) t_eps^2 within ``tol`` and
     the certificate is feasible.  Keys match the JSON report emitted by
-    the command-line front end.
+    the command-line front end.  A NaN or negative ``tol`` is a ValueError.
     """
+    _check_tol(tol)
     lp = build_staircase_lp(k, params)
     primal = solve_primal(lp)
     candidate = sign_candidate(lp)

@@ -37,31 +37,25 @@ class QuantizedModel:
     y: np.ndarray
 
 
-def _make_model(k: int) -> QuantizedModel:
-    """Model construction for any level k >= 2 (evenness checked by callers)."""
-    bps = np.empty(k + 1)
-    bps[0] = -math.inf
-    bps[k] = math.inf
-    for j in range(1, (k + 1) // 2):
-        x = std_normal_quantile(j / k)
-        bps[j] = x
-        bps[k - j] = -x
-    if k % 2 == 0:
-        bps[k // 2] = 0.0
-    pdf_vals = np.array([std_normal_pdf(b) for b in bps])
-    y = pdf_vals[:-1] - pdf_vals[1:]
-    bps.setflags(write=False)
-    y.setflags(write=False)
-    return QuantizedModel(k=k, breakpoints=bps, y=y)
-
-
 def build_quantized_model(k: int) -> QuantizedModel:
     """Build the level-k model; k must be even, 2 <= k <= 2^16."""
     if k < 2 or k % 2 != 0:
         raise ValueError(f"quantizer level must be an even integer >= 2, got {k!r}")
     if k > MAX_LEVEL:
         raise ValueError(f"quantizer level capped at {MAX_LEVEL}, got {k}")
-    return _make_model(k)
+    bps = np.empty(k + 1)
+    bps[0] = -math.inf
+    bps[k] = math.inf
+    bps[k // 2] = 0.0
+    for j in range(1, k // 2):
+        x = std_normal_quantile(j / k)
+        bps[j] = x
+        bps[k - j] = -x
+    pdf_vals = np.array([std_normal_pdf(b) for b in bps])
+    y = pdf_vals[:-1] - pdf_vals[1:]
+    bps.setflags(write=False)
+    y.setflags(write=False)
+    return QuantizedModel(k=k, breakpoints=bps, y=y)
 
 
 def quantize(x: float, center: float, model: QuantizedModel) -> int:
@@ -86,27 +80,13 @@ def cell_probabilities(theta: float, center: float,
     return cdf_vals[1:] - cdf_vals[:-1]
 
 
-def row_information(v, model: QuantizedModel) -> float:
-    """Information contribution k * (v . y)^2 / (v . 1) of one output row.
+def row_information_many(V, model: QuantizedModel) -> np.ndarray:
+    """Information k * (v . y)^2 / (v . 1) of each column v of a (k, m) array.
 
-    ``v`` holds the nonnegative channel weights the output row assigns to
-    the k input cells.  The zero row contributes 0 by convention (the
-    output symbol is never emitted).
+    Each column holds the nonnegative channel weights one output row
+    assigns to the k input cells.  A zero column contributes exactly 0
+    (explicit branch, never 0/0): that output symbol is never emitted.
     """
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != (model.k,):
-        raise ValueError(f"weight vector must have length {model.k}, got shape {vec.shape}")
-    if np.any(vec < 0.0):
-        raise ValueError("weight vector must be componentwise nonnegative")
-    total = vec.sum()
-    if total == 0.0:
-        return 0.0
-    dot = float(vec @ model.y)
-    return model.k * dot * dot / float(total)
-
-
-def row_information_many(V: np.ndarray, model: QuantizedModel) -> np.ndarray:
-    """Vectorized ``row_information`` over the columns of a (k, m) array."""
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] != model.k:
         raise ValueError(f"expected shape ({model.k}, m), got {V.shape}")
@@ -118,14 +98,24 @@ def row_information_many(V: np.ndarray, model: QuantizedModel) -> np.ndarray:
     return out
 
 
+def row_information(v, model: QuantizedModel) -> float:
+    """``row_information_many`` of one nonnegative weight vector of length k."""
+    vec = np.asarray(v, dtype=float)
+    if vec.shape != (model.k,):
+        raise ValueError(f"weight vector must have length {model.k}, got shape {vec.shape}")
+    if np.any(vec < 0.0):
+        raise ValueError("weight vector must be componentwise nonnegative")
+    return float(row_information_many(vec[:, None], model)[0])
+
+
 def fisher_info_quantized(Q, model: QuantizedModel) -> float:
     """Fisher information about the mean released by channel ``Q``.
 
     ``Q`` is an (m, k) column-stochastic matrix acting on the k quantizer
     cells; m may be smaller than k when all-zero output rows were
-    dropped.  Rows with zero total weight contribute exactly 0 (explicit
-    branch, never 0/0).  The value does not depend on the true mean, so
-    no location argument exists.
+    dropped.  The value is the sum of ``row_information_many`` over the
+    rows of Q, so all-zero rows contribute 0.  It does not depend on the
+    true mean, so no location argument exists.
     """
     mat = np.asarray(Q, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != model.k:
@@ -133,12 +123,7 @@ def fisher_info_quantized(Q, model: QuantizedModel) -> float:
     col_sums = mat.sum(axis=0)
     if np.any(np.abs(col_sums - 1.0) > 1e-6):
         raise ValueError("channel matrix must be column-stochastic")
-    num = (mat @ model.y) ** 2
-    den = mat.sum(axis=1) / model.k
-    terms = np.zeros(mat.shape[0])
-    nz = den > 0.0
-    terms[nz] = num[nz] / den[nz]
-    return float(terms.sum())
+    return float(row_information_many(mat.T, model).sum())
 
 
 def embed_sign_channel(params: PrivacyParams, k: int) -> np.ndarray:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimators import (
+    EstimateResult,
     EstimatorConfig,
     one_stage,
     one_stage_asymptotic_variance,
@@ -35,13 +36,14 @@ CSV_HEADER = ("sweep_name,sweep_value,n,replicates,scaled_mse,ci_lo,ci_hi,"
 
 ESTIMATOR_KINDS = ("one", "two", "three")
 SWEEP_NAMES = ("n1", "theta0", "n")
+_BOOTSTRAP_BLOCK = 64  # resamples drawn per index matrix
 
 
 class BudgetError(RuntimeError):
     """Raised when a run would exceed the configured draw budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Full description of one Monte Carlo experiment.
 
@@ -49,25 +51,29 @@ class ExperimentConfig:
     h / sqrt(n) (local alternatives); errors are measured against the
     shifted mean.  ``max_total_draws`` guards against accidentally
     gigantic runs (sum over sweep points of replicates * n).
+
+    Every field but ``master_seed`` is a config-file key, named by the
+    field or by its ``key`` metadata, and the field order is the key
+    order of a run manifest.
     """
 
     kind: str
     epsilon: float
     theta_true: float
-    n: int
-    replicates: int
-    master_seed: int
-    sweep_name: str
-    sweep_values: tuple[float, ...]
     theta0: float = 0.0
+    h_over_sqrt_n: float = field(default=0.0, metadata={"key": "h"})
+    n: int
     n1: int | None = None
     n0: int = 15_000
     bits: int = 7
     range_lo: float = 0.0
     range_hi: float = 128.0
     sigma: float = 1.0
-    h_over_sqrt_n: float = 0.0
+    replicates: int
+    sweep_name: str = field(metadata={"key": "sweep"})
+    sweep_values: tuple[float, ...]
     max_total_draws: int = 20_000_000_000
+    master_seed: int
 
 
 @dataclass(frozen=True)
@@ -85,9 +91,40 @@ class MseResult:
     theory_one_stage: float
 
 
+def _check_kind(kind: str, sigma: float) -> None:
+    """Only the two-stage estimator has a known-scale path (``rescaled_estimate``)."""
+    if kind not in ESTIMATOR_KINDS:
+        raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
+    if sigma != 1.0 and kind != "two":
+        raise ValueError("sigma != 1 is supported for the two-stage estimator only")
+
+
+def estimate(kind: str, data, cfg: EstimatorConfig, sigma: float,
+             rng: np.random.Generator) -> EstimateResult:
+    """Run the ``kind`` estimator on data of known scale ``sigma``."""
+    _check_kind(kind, sigma)
+    if kind == "one":
+        return one_stage(data, cfg, rng)
+    if kind == "three":
+        return three_stage(data, cfg, rng)
+    if sigma != 1.0:
+        return rescaled_estimate(data, sigma, cfg, rng)
+    return two_stage(data, cfg, rng)
+
+
+def synthetic_sample(n: int, theta: float, sigma: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """n draws of N(theta, sigma^2): standard normals, scaled, then shifted."""
+    data = rng.standard_normal(n)
+    if sigma != 1.0:
+        data *= sigma
+    if theta != 0.0:
+        data += theta
+    return data
+
+
 def _validate(config: ExperimentConfig) -> None:
-    if config.kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {config.kind!r}")
+    _check_kind(config.kind, config.sigma)
     if config.sweep_name not in SWEEP_NAMES:
         raise ValueError(f"sweep must be one of {SWEEP_NAMES}, got {config.sweep_name!r}")
     if not config.sweep_values:
@@ -96,11 +133,13 @@ def _validate(config: ExperimentConfig) -> None:
         raise ValueError(f"replicates must be >= 2, got {config.replicates}")
     if not 0 <= config.master_seed < 2 ** 64:
         raise ValueError("master_seed must be a 64-bit unsigned integer")
-    if config.sigma != 1.0 and config.kind != "two":
-        raise ValueError("sigma != 1 is supported for the two-stage estimator only")
     total = 0
     for value in config.sweep_values:
+        if config.sweep_name != "theta0" and not float(value).is_integer():
+            raise ValueError(f"{config.sweep_name} sweep values must be integers, got {value!r}")
         n = int(value) if config.sweep_name == "n" else config.n
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         total += n * config.replicates
     if total > config.max_total_draws:
         raise BudgetError(
@@ -122,7 +161,6 @@ def _point_setup(config: ExperimentConfig, value: float):
     est_cfg = EstimatorConfig(
         epsilon=config.epsilon, theta0=theta0, n1=n1, n0=config.n0,
         bits=config.bits, range_lo=config.range_lo, range_hi=config.range_hi,
-        sigma=config.sigma,
     )
     return n, theta_n, est_cfg
 
@@ -137,28 +175,15 @@ def _run_block(config: ExperimentConfig, sweep_index: int,
         seq = np.random.SeedSequence(entropy=config.master_seed,
                                      spawn_key=(sweep_index, 0, r))
         rng = np.random.default_rng(seq)
-        data = rng.standard_normal(n)
-        if config.sigma != 1.0:
-            data *= config.sigma
-        if theta_n != 0.0:
-            data += theta_n
-        if config.kind == "one":
-            result = one_stage(data, est_cfg, rng)
-        elif config.kind == "two":
-            if config.sigma != 1.0:
-                result = rescaled_estimate(data, config.sigma, est_cfg, rng)
-            else:
-                result = two_stage(data, est_cfg, rng)
-        else:
-            result = three_stage(data, est_cfg, rng)
+        data = synthetic_sample(n, theta_n, config.sigma, rng)
+        result = estimate(config.kind, data, est_cfg, config.sigma, rng)
         errors[r - r_lo] = result.theta_hat - theta_n
         clamps[r - r_lo] = any(result.clamped)
     return r_lo, errors, clamps
 
 
 def bootstrap_ci(values, level: float = 0.95, resamples: int = 1000,
-                 rng: np.random.Generator | None = None,
-                 _block: int = 64) -> tuple[float, float]:
+                 rng: np.random.Generator | None = None) -> tuple[float, float]:
     """Percentile bootstrap interval for the mean of ``values``.
 
     Resampling happens at the entry (replicate) level.  Identical inputs
@@ -176,8 +201,8 @@ def bootstrap_ci(values, level: float = 0.95, resamples: int = 1000,
         rng = np.random.default_rng()
     means = np.empty(resamples)
     n = vals.size
-    for start in range(0, resamples, _block):
-        stop = min(start + _block, resamples)
+    for start in range(0, resamples, _BOOTSTRAP_BLOCK):
+        stop = min(start + _BOOTSTRAP_BLOCK, resamples)
         idx = rng.integers(0, n, size=(stop - start, n))
         means[start:stop] = vals[idx].mean(axis=1)
     tail = (1.0 - level) / 2.0
@@ -207,16 +232,18 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MseResult
     Replicates are pre-assigned to slots by index, so any partition of
     the index range across processes reduces to the same output.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     _validate(config)
     params = privacy_params(config.epsilon)
     results = []
     for s, value in enumerate(config.sweep_values):
         n, theta_n, est_cfg = _point_setup(config, value)
-        errors = np.empty(config.replicates)
-        clamps = np.empty(config.replicates, dtype=bool)
-        if workers <= 1:
+        if workers == 1:
             _, errors, clamps = _run_block(config, s, 0, config.replicates)
         else:
+            errors = np.empty(config.replicates)
+            clamps = np.empty(config.replicates, dtype=bool)
             step = max(1, math.ceil(config.replicates / (workers * 4)))
             spans = [(lo, min(lo + step, config.replicates))
                      for lo in range(0, config.replicates, step)]

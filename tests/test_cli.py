@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +33,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def simulate_text(capsys, tmp_path, text, *flags):
+    """Run ``simulate`` on config ``text``; return (exit code, stderr, CSV path)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, "simulate", str(cfg), "--seed", "7",
+                           "--output", str(out), *flags)
+    return code, err, out
+
+
+def assert_one_line_usage_error(code, err):
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 class TestFisher:
@@ -110,6 +126,14 @@ class TestLpVerify:
         assert out == ""
         assert "epsilon" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_nan_or_negative_tol_usage_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "lp-verify", "--k", "4", "--epsilon", "1",
+                                 f"--tol={tol}")
+        assert_one_line_usage_error(code, err)
+        assert out == ""
+        assert "tolerance" in err
+
 
 class TestConfigParsing:
     def test_round_trip(self):
@@ -134,6 +158,10 @@ class TestConfigParsing:
             experiment_config_from_text(SMALL_CFG + "bogus = 1\n", master_seed=5)
         with pytest.raises(Exception):
             experiment_config_from_text("kind = two\n", master_seed=5)
+
+    def test_infinite_epsilon_accepted(self):
+        text = SMALL_CFG.replace("epsilon = 1.0", "epsilon = inf")
+        assert experiment_config_from_text(text, master_seed=5).epsilon == math.inf
 
 
 class TestSimulate:
@@ -219,6 +247,43 @@ class TestSimulate:
                              "--output", str(tmp_path / "out.csv"))
         assert code == EXIT_USAGE
 
+    def test_zero_sample_size_is_usage_error(self, tmp_path, capsys):
+        code, err, out = simulate_text(capsys, tmp_path, SMALL_CFG.replace("n = 1500", "n = 0"))
+        assert_one_line_usage_error(code, err)
+        assert "n must be >= 1" in err
+        assert not out.exists()
+
+    def test_non_integral_sweep_value_is_usage_error(self, tmp_path, capsys):
+        text = SMALL_CFG.replace("sweep = n1", "sweep = n").replace(
+            "sweep_values = 40,80", "sweep_values = 2000,2000.7")
+        code, err, out = simulate_text(capsys, tmp_path, text)
+        assert_one_line_usage_error(code, err)
+        assert "2000.7" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        code, err, out = simulate_text(capsys, tmp_path, SMALL_CFG, "--workers", workers)
+        assert_one_line_usage_error(code, err)
+        assert "workers" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["theta0 = nan", "h = nan", "sigma = nan",
+                                      "range_hi = nan"])
+    def test_nan_config_float_is_usage_error(self, tmp_path, capsys, line):
+        code, err, out = simulate_text(capsys, tmp_path, SMALL_CFG + line + "\n")
+        assert_one_line_usage_error(code, err)
+        assert repr(line.split(" = ")[0]) in err
+        assert not out.exists()
+
+    def test_nan_sweep_value_is_usage_error(self, tmp_path, capsys):
+        text = SMALL_CFG.replace("sweep = n1", "sweep = theta0").replace(
+            "sweep_values = 40,80", "sweep_values = 0.0,nan")
+        code, err, out = simulate_text(capsys, tmp_path, text)
+        assert_one_line_usage_error(code, err)
+        assert "'sweep_values'" in err
+        assert not out.exists()
+
     def test_bundled_config_parses(self, capsys):
         import ldpmean
         from pathlib import Path
@@ -288,3 +353,20 @@ class TestEstimate:
                              "--seed", "1", "--synthetic", "--theta", "1", "--n", "30000",
                              "--sigma", "2")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_data_line_is_usage_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "data.txt"
+        path.write_text("\n".join(["0.5"] * 50 + [bad] + ["-0.5"] * 50) + "\n")
+        code, out, err = run_cli(capsys, "estimate", "--epsilon", "1", "--seed", "1",
+                                 "--input", str(path))
+        assert_one_line_usage_error(code, err)
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--theta", "--theta0"])
+    def test_nan_flag_is_usage_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "estimate", "--epsilon", "1", "--seed", "1",
+                                 "--synthetic", "--n", "5000", flag, "nan")
+        assert_one_line_usage_error(code, err)
+        assert out == ""
+        assert flag in err

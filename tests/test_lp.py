@@ -70,16 +70,22 @@ def direct_slack(column, k, params):
 
 
 class TestBuildStaircase:
-    def test_level_three_structure(self):
-        # 3 x 8 staircase: column j encodes the binary word of j, MSB first
-        lp = build_staircase_lp(3, privacy_params(1.0))
+    def test_level_four_structure(self):
+        # 4 x 16 staircase: column j encodes the binary word of j, MSB first
+        lp = build_staircase_lp(4, privacy_params(1.0))
         e = math.e
         expected = np.array([
-            [1, 1, 1, 1, e, e, e, e],
-            [1, 1, e, e, 1, 1, e, e],
-            [1, e, 1, e, 1, e, 1, e],
+            [1] * 8 + [e] * 8,
+            ([1] * 4 + [e] * 4) * 2,
+            ([1] * 2 + [e] * 2) * 4,
+            [1, e] * 8,
         ])
         assert np.allclose(lp.S, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_odd_level_rejected(self, k):
+        with pytest.raises(ValueError):
+            build_staircase_lp(k, privacy_params(1.0))
 
     def test_level_two_columns(self):
         lp = build_staircase_lp(2, privacy_params(1.0))
@@ -92,7 +98,7 @@ class TestBuildStaircase:
             lp = build_staircase_lp(k, privacy_params(0.7))
             assert abs(lp.mu_vec[0]) <= 1e-30
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    @pytest.mark.parametrize("k", [2, 4, 6, 8])
     def test_mu_vector_matches_scalar_form(self, k):
         lp = build_staircase_lp(k, privacy_params(0.9))
         each = [row_information(lp.S[:, j], lp.model) for j in range(2 ** k)]
@@ -314,6 +320,14 @@ class TestWeakDualityChain:
         assert report["chain_holds"]
         assert report["feasible"]
         assert report["primal_value"] == pytest.approx(report["dual_value"], abs=1e-8)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_nan_or_negative_tol_rejected(self, tol):
+        params = privacy_params(1.0)
+        with pytest.raises(ValueError):
+            equality_chain(4, params, tol=tol)
+        with pytest.raises(ValueError):
+            check_dual_feasibility(8, params, tol=tol)
 
 
 class TestCertificateMargin:

@@ -3,15 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from ldpmean.estimators import one_stage_asymptotic_variance, optimal_asymptotic_variance
+from ldpmean.estimators import (
+    EstimatorConfig,
+    one_stage,
+    one_stage_asymptotic_variance,
+    optimal_asymptotic_variance,
+    rescaled_estimate,
+    three_stage,
+    two_stage,
+)
 from ldpmean.mechanisms import privacy_params
 from ldpmean.sim import (
     BudgetError,
     ExperimentConfig,
     MseResult,
     bootstrap_ci,
+    estimate,
     results_to_csv,
     run_experiment,
+    synthetic_sample,
     theoretical_reference,
 )
 
@@ -111,6 +121,50 @@ class TestValidation:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             run_experiment(small_config(max_total_draws=1000))
+
+    def test_sample_size_at_least_one(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            run_experiment(small_config(n=0))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            run_experiment(small_config(sweep_name="n", sweep_values=(2000.0, 0.0)))
+
+    @pytest.mark.parametrize("sweep_name", ["n", "n1"])
+    def test_non_integral_sweep_value(self, sweep_name):
+        with pytest.raises(ValueError, match="integers"):
+            run_experiment(small_config(sweep_name=sweep_name, sweep_values=(30.0, 200.7)))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_at_least_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(small_config(), workers=workers)
+
+
+class TestEstimate:
+    def test_dispatch_matches_estimators(self):
+        cfg = EstimatorConfig(epsilon=1.0, n1=100, n0=400, bits=4, range_hi=8.0)
+        for kind, fn in (("one", one_stage), ("two", two_stage), ("three", three_stage)):
+            data = synthetic_sample(3000, 3.0, 1.0, np.random.default_rng(5))
+            expected = fn(data, cfg, np.random.default_rng(6))
+            assert estimate(kind, data, cfg, 1.0, np.random.default_rng(6)) == expected
+
+    def test_sigma_routes_to_rescaled(self):
+        cfg = EstimatorConfig(epsilon=1.0)
+        data = synthetic_sample(3000, 1.0, 2.0, np.random.default_rng(5))
+        expected = rescaled_estimate(data, 2.0, cfg, np.random.default_rng(6))
+        assert estimate("two", data, cfg, 2.0, np.random.default_rng(6)) == expected
+
+    @pytest.mark.parametrize("kind", ["one", "three"])
+    def test_sigma_requires_two_stage(self, kind):
+        cfg = EstimatorConfig(epsilon=1.0)
+        with pytest.raises(ValueError, match="two-stage"):
+            estimate(kind, np.zeros(100), cfg, 2.0, np.random.default_rng(0))
+
+    def test_synthetic_sample_order(self):
+        # standard normals, then the scale, then the shift
+        draws = np.random.default_rng(3).standard_normal(50)
+        sample = synthetic_sample(50, 0.25, 3.0, np.random.default_rng(3))
+        assert np.array_equal(sample, draws * 3.0 + 0.25)
+        assert np.array_equal(synthetic_sample(50, 0.0, 1.0, np.random.default_rng(3)), draws)
 
 
 class TestDeterminism:
