@@ -79,10 +79,15 @@ def _emit(payload: dict) -> None:
 # --- config file handling ---------------------------------------------------
 
 def real(raw: str) -> float:
-    """float() that refuses NaN; +-inf pass (epsilon = inf is a valid budget)."""
+    """float() that refuses NaN and +-inf.
+
+    Every config float and every float flag of ``estimate`` goes through
+    here except epsilon: epsilon = inf is the noiseless channel, and
+    ``privacy_params`` rejects a NaN or negative budget.
+    """
     value = float(raw)
-    if math.isnan(value):
-        raise ValueError(f"expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
     return value
 
 
@@ -122,7 +127,8 @@ def parse_kv(text: str) -> dict[str, str]:
 
 def _convert(key: str, raw: str):
     try:
-        return _CONVERTERS[_CONFIG_FIELDS[key].type](raw)
+        convert = float if key == "epsilon" else _CONVERTERS[_CONFIG_FIELDS[key].type]
+        return convert(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
 

@@ -21,7 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mechanisms import PrivacyParams, privacy_params, sign_mechanism
+from .mechanisms import PrivacyParams, privacy_params, released_bit_sum
+# Not called here: perfbench/layertrace.py rebinds estimators.sign_mechanism.
+from .mechanisms import sign_mechanism  # noqa: F401
 from .numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
 from .quantized import scaled_fisher_info
 
@@ -63,6 +65,34 @@ def default_n1(n: int) -> int:
     return max(1, int(n ** 0.7))
 
 
+def two_stage_pilot(n: int, config: EstimatorConfig) -> int:
+    """Pilot size n1 of a two-stage run on n samples; ValueError unless 1 <= n1 < n."""
+    n1 = config.n1 if config.n1 is not None else default_n1(n)
+    if not 1 <= n1 < n:
+        raise ValueError(f"need 1 <= n1 < n, got n1={n1}, n={n}")
+    return n1
+
+
+def three_stage_pilot(n: int, config: EstimatorConfig) -> int:
+    """Pilot size n1 of a three-stage run on n samples, after checking its layout.
+
+    The bisection needs bits >= 1, n0 >= bits and range_lo < range_hi; the
+    two-stage tail needs 1 <= n1 and n0 + n1 < n.
+    """
+    n0, rounds = config.n0, config.bits
+    if rounds < 1:
+        raise ValueError(f"bits must be >= 1, got {rounds}")
+    if n0 < rounds:
+        raise ValueError(f"need n0 >= bits, got n0={n0}, bits={rounds}")
+    if not config.range_lo < config.range_hi:
+        raise ValueError("need range_lo < range_hi")
+    # default_n1 of a non-positive count would be complex; such n fail below
+    n1 = config.n1 if config.n1 is not None else default_n1(max(1, n - n0))
+    if not 1 <= n1 or n0 + n1 >= n:
+        raise ValueError(f"need 1 <= n1 and n0 + n1 < n, got n0={n0}, n1={n1}, n={n}")
+    return n1
+
+
 def invert_mean(z_bar: float, center: float, params: PrivacyParams) -> float:
     """Invert the expected released bit around ``center``.
 
@@ -78,9 +108,12 @@ def invert_mean(z_bar: float, center: float, params: PrivacyParams) -> float:
 
 def _stage(data: np.ndarray, center: float, params: PrivacyParams,
            rng: np.random.Generator) -> tuple[float, bool]:
-    """Sanitize one group at ``center`` and invert its mean bit."""
-    z = sign_mechanism(data, center, params, rng)
-    z_bar = float(z.mean())
+    """Sanitize one group at ``center`` and invert its mean bit.
+
+    S / m is the same float as the mean of the materialized +/-1 bits:
+    that mean sums exact integers in float64 and divides once.
+    """
+    z_bar = released_bit_sum(data, center, params, rng) / data.size
     clamped = not abs(z_bar) < params.t_eps
     return invert_mean(z_bar, center, params), clamped
 
@@ -104,10 +137,7 @@ def two_stage(data, config: EstimatorConfig,
     clamped).
     """
     data = np.asarray(data, dtype=float)
-    n = data.size
-    n1 = config.n1 if config.n1 is not None else default_n1(n)
-    if not 1 <= n1 < n:
-        raise ValueError(f"need 1 <= n1 < n, got n1={n1}, n={n}")
+    n1 = two_stage_pilot(data.size, config)
     params = privacy_params(config.epsilon)
     pilot, clamped1 = _stage(data[:n1], config.theta0, params, rng)
     final, clamped2 = _stage(data[n1:], pilot, params, rng)
@@ -129,17 +159,8 @@ def three_stage(data, config: EstimatorConfig,
     two-stage run on the remaining n - n0 samples.
     """
     data = np.asarray(data, dtype=float)
-    n = data.size
+    n1 = three_stage_pilot(data.size, config)
     n0, rounds = config.n0, config.bits
-    if rounds < 1:
-        raise ValueError(f"bits must be >= 1, got {rounds}")
-    if n0 < rounds:
-        raise ValueError(f"need n0 >= bits, got n0={n0}, bits={rounds}")
-    if not config.range_lo < config.range_hi:
-        raise ValueError("need range_lo < range_hi")
-    n1 = config.n1 if config.n1 is not None else default_n1(n - n0)
-    if n0 + n1 >= n:
-        raise ValueError(f"need n0 + n1 < n, got n0={n0}, n1={n1}, n={n}")
     params = privacy_params(config.epsilon)
 
     group = n0 // rounds
@@ -147,8 +168,7 @@ def three_stage(data, config: EstimatorConfig,
     for b in range(rounds):
         mid = (lo + hi) / 2.0
         chunk = data[b * group:(b + 1) * group]
-        z = sign_mechanism(chunk, mid, params, rng)
-        if float(z.mean()) >= 0.0:
+        if released_bit_sum(chunk, mid, params, rng) >= 0:
             lo = mid
         else:
             hi = mid

@@ -42,6 +42,7 @@ from .quantized import (QuantizedModel, build_quantized_model, row_information,
 MAX_BUILD_K = 20          # S materialization: 2^k columns
 MAX_SOLVE_K = 12          # dense simplex
 _SWEEP_BLOCK = 1 << 18    # corner slacks evaluated per block of the sweep grid
+_SWEEP_TOL = 1e-9         # slack a feasible certificate may fall below zero
 
 
 @dataclass(frozen=True)
@@ -240,15 +241,18 @@ def dual_certificate(k: int, params: PrivacyParams) -> DualCertificate:
     sum telescopes to 2 * pdf(0), the total is exactly the sign
     mechanism's information; beta is symmetric under j -> k + 1 - j.
     """
-    model = build_quantized_model(k)
+    return _certificate(build_quantized_model(k), params)
+
+
+def _certificate(model: QuantizedModel, params: PrivacyParams) -> DualCertificate:
     t2 = params.t_eps * params.t_eps
-    beta = -2.0 * t2 / (math.pi * k) + np.abs(model.y) * t2 * math.sqrt(8.0 / math.pi)
+    beta = -2.0 * t2 / (math.pi * model.k) + np.abs(model.y) * t2 * math.sqrt(8.0 / math.pi)
     beta.setflags(write=False)
     return DualCertificate(beta=beta)
 
 
 def check_dual_feasibility(k: int, params: PrivacyParams,
-                           tol: float = 1e-9) -> DualFeasibilityReport:
+                           tol: float = _SWEEP_TOL) -> DualFeasibilityReport:
     """Exact minimum slack of the certificate over all 2^k staircase columns.
 
     With ones on the index set B, a column's slack (S_col . beta) -
@@ -262,9 +266,15 @@ def check_dual_feasibility(k: int, params: PrivacyParams,
     its column word and reports that column's directly evaluated slack.
     """
     _check_tol(tol)
+    return _sweep(build_quantized_model(k), params, tol)
+
+
+def _sweep(model: QuantizedModel, params: PrivacyParams,
+           tol: float) -> DualFeasibilityReport:
+    """``check_dual_feasibility`` on an already built model."""
+    k = model.k
     scale = _exp_epsilon(params) - 1.0
-    model = build_quantized_model(k)
-    beta = dual_certificate(k, params).beta
+    beta = _certificate(model, params).beta
     half = k // 2
     # Per half: index orders by ascending and by descending |y|, shape (2, half).
     orders = []
@@ -366,8 +376,8 @@ def equality_chain(k: int, params: PrivacyParams, tol: float = 1e-8) -> dict:
     lp = build_staircase_lp(k, params)
     primal = solve_primal(lp)
     candidate = sign_candidate(lp)
-    cert = dual_certificate(k, params)
-    sweep = check_dual_feasibility(k, params)
+    cert = _certificate(lp.model, params)
+    sweep = _sweep(lp.model, params, _SWEEP_TOL)
     dual_value = float(cert.beta.sum())
     closed_form = sign_fisher_info(params)
     holds = (sweep.feasible

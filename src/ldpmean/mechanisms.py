@@ -83,6 +83,20 @@ def sign_mechanism(x, center: float, params: PrivacyParams,
     return randomized_response(signs, params, rng)
 
 
+def released_bit_sum(x, center: float, params: PrivacyParams,
+                     rng: np.random.Generator) -> int:
+    """Sum of the bits ``sign_mechanism(x, center, params, rng)`` would release.
+
+    Draws the same uniforms, so the generator ends in the same state, but
+    never materializes the bits: a released bit is +1 exactly when the
+    sign test (x >= center) agrees with the keep test (u < p_eps), so the
+    sum is 2 * (number of agreements) - m.
+    """
+    arr = np.asarray(x)
+    keep = rng.random(arr.shape) < params.p_eps
+    return 2 * int(np.count_nonzero(keep == (arr >= center))) - arr.size
+
+
 def rr_matrix(params: PrivacyParams) -> np.ndarray:
     """2x2 randomized-response channel: diagonal p_eps, off-diagonal 1 - p_eps."""
     p = params.p_eps

@@ -13,6 +13,7 @@ regardless of how replicates are scheduled across worker processes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +28,9 @@ from .estimators import (
     optimal_asymptotic_variance,
     rescaled_estimate,
     three_stage,
+    three_stage_pilot,
     two_stage,
+    two_stage_pilot,
 )
 from .mechanisms import PrivacyParams, privacy_params
 
@@ -112,6 +115,14 @@ def estimate(kind: str, data, cfg: EstimatorConfig, sigma: float,
     return two_stage(data, cfg, rng)
 
 
+def _check_pilot(kind: str, n: int, cfg: EstimatorConfig) -> None:
+    """Raise the ValueError the ``kind`` estimator would raise on n samples."""
+    if kind == "two":
+        two_stage_pilot(n, cfg)
+    elif kind == "three":
+        three_stage_pilot(n, cfg)
+
+
 def synthetic_sample(n: int, theta: float, sigma: float,
                      rng: np.random.Generator) -> np.ndarray:
     """n draws of N(theta, sigma^2): standard normals, scaled, then shifted."""
@@ -124,11 +135,14 @@ def synthetic_sample(n: int, theta: float, sigma: float,
 
 
 def _validate(config: ExperimentConfig) -> None:
+    """Reject a config that would fail at any sweep point, before any work."""
     _check_kind(config.kind, config.sigma)
     if config.sweep_name not in SWEEP_NAMES:
         raise ValueError(f"sweep must be one of {SWEEP_NAMES}, got {config.sweep_name!r}")
     if not config.sweep_values:
         raise ValueError("sweep_values must be non-empty")
+    if not config.sigma > 0.0:
+        raise ValueError(f"sigma must be > 0, got {config.sigma!r}")
     if config.replicates < 2:
         raise ValueError(f"replicates must be >= 2, got {config.replicates}")
     if not 0 <= config.master_seed < 2 ** 64:
@@ -137,9 +151,8 @@ def _validate(config: ExperimentConfig) -> None:
     for value in config.sweep_values:
         if config.sweep_name != "theta0" and not float(value).is_integer():
             raise ValueError(f"{config.sweep_name} sweep values must be integers, got {value!r}")
-        n = int(value) if config.sweep_name == "n" else config.n
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        n, _, est_cfg = _point_setup(config, value)
+        _check_pilot(config.kind, n, est_cfg)
         total += n * config.replicates
     if total > config.max_total_draws:
         raise BudgetError(
@@ -157,6 +170,8 @@ def _point_setup(config: ExperimentConfig, value: float):
         n1 = int(value)
     else:
         theta0 = float(value)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     theta_n = config.theta_true + config.h_over_sqrt_n / math.sqrt(n)
     est_cfg = EstimatorConfig(
         epsilon=config.epsilon, theta0=theta0, n1=n1, n0=config.n0,
@@ -229,48 +244,58 @@ def theoretical_reference(kind: str, theta: float, theta0: float,
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MseResult]:
     """Run the full sweep; the result is independent of ``workers``.
 
-    Replicates are pre-assigned to slots by index, so any partition of
-    the index range across processes reduces to the same output.
+    Each point's replicates are cut into spans, pre-assigned by index, so
+    any partition across processes reduces to the same output.  One pool
+    serves the whole run: every span of every point is submitted up
+    front, and this process reduces and bootstraps point s while the
+    workers run later points.  With one worker the same spans run inline.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _validate(config)
     params = privacy_params(config.epsilon)
+    reps = config.replicates
+    step = max(1, math.ceil(reps / (workers * 4)))
+    spans = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
+    tasks = [(s, lo, hi) for s in range(len(config.sweep_values)) for lo, hi in spans]
     results = []
-    for s, value in enumerate(config.sweep_values):
-        n, theta_n, est_cfg = _point_setup(config, value)
-        if workers == 1:
-            _, errors, clamps = _run_block(config, s, 0, config.replicates)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        if pool is None:
+            blocks = (_run_block(config, *task) for task in tasks)
         else:
-            errors = np.empty(config.replicates)
-            clamps = np.empty(config.replicates, dtype=bool)
-            step = max(1, math.ceil(config.replicates / (workers * 4)))
-            spans = [(lo, min(lo + step, config.replicates))
-                     for lo in range(0, config.replicates, step)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_block, config, s, lo, hi)
-                           for lo, hi in spans]
-                for future in futures:
-                    lo, errs, flags = future.result()
+            futures = [pool.submit(_run_block, config, *task) for task in tasks]
+            blocks = (future.result() for future in futures)
+        try:
+            for s, value in enumerate(config.sweep_values):
+                n, theta_n, est_cfg = _point_setup(config, value)
+                errors = np.empty(reps)
+                clamps = np.empty(reps, dtype=bool)
+                for _ in spans:
+                    lo, errs, flags = next(blocks)
                     errors[lo:lo + errs.size] = errs
                     clamps[lo:lo + flags.size] = flags
-        sq = errors ** 2
-        boot_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.master_seed, spawn_key=(s, 1)))
-        lo_mean, hi_mean = bootstrap_ci(sq, level=0.95, resamples=1000, rng=boot_rng)
-        results.append(MseResult(
-            sweep_value=float(value),
-            n=n,
-            replicates=config.replicates,
-            scaled_mse=float(n * sq.mean()),
-            ci_lo=float(n * lo_mean),
-            ci_hi=float(n * hi_mean),
-            clamp_rate=float(clamps.mean()),
-            theory_optimal=theoretical_reference("optimal", theta_n, est_cfg.theta0,
-                                                 params, config.sigma),
-            theory_one_stage=theoretical_reference("one", theta_n, est_cfg.theta0,
-                                                   params, config.sigma),
-        ))
+                sq = errors ** 2
+                boot_rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=config.master_seed, spawn_key=(s, 1)))
+                lo_mean, hi_mean = bootstrap_ci(sq, level=0.95, resamples=1000, rng=boot_rng)
+                results.append(MseResult(
+                    sweep_value=float(value),
+                    n=n,
+                    replicates=reps,
+                    scaled_mse=float(n * sq.mean()),
+                    ci_lo=float(n * lo_mean),
+                    ci_hi=float(n * hi_mean),
+                    clamp_rate=float(clamps.mean()),
+                    theory_optimal=theoretical_reference("optimal", theta_n, est_cfg.theta0,
+                                                         params, config.sigma),
+                    theory_one_stage=theoretical_reference("one", theta_n, est_cfg.theta0,
+                                                           params, config.sigma),
+                ))
+        except BaseException:
+            if pool is not None:  # drop the spans no worker has taken, wait for the rest
+                pool.shutdown(cancel_futures=True)
+            raise
     return results
 
 

@@ -276,6 +276,35 @@ class TestSimulate:
         assert repr(line.split(" = ")[0]) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("theta_true", "inf"), ("theta0", "-inf"),
+                                            ("h", "inf"), ("sigma", "inf"),
+                                            ("range_lo", "-inf"), ("range_hi", "inf")])
+    def test_infinite_config_float_is_usage_error(self, tmp_path, capsys, key, value):
+        kept = [line for line in SMALL_CFG.splitlines() if line.split(" = ")[0] != key]
+        text = "\n".join(kept + [f"{key} = {value}"]) + "\n"
+        code, err, out = simulate_text(capsys, tmp_path, text)
+        assert_one_line_usage_error(code, err)
+        assert "must be finite" in err
+        assert not out.exists()
+
+    def test_infinite_sweep_value_is_usage_error(self, tmp_path, capsys):
+        text = SMALL_CFG.replace("sweep = n1", "sweep = theta0").replace(
+            "sweep_values = 40,80", "sweep_values = 0.0,inf")
+        code, err, out = simulate_text(capsys, tmp_path, text)
+        assert_one_line_usage_error(code, err)
+        assert "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [("sweep_values = 40,80", "sweep_values = 40,5000"),
+                                      ("kind = two", "kind = three")])
+    def test_pilot_too_large_at_a_late_point_is_usage_error(self, tmp_path, capsys, edit):
+        # the second point's n1 (or the three-stage n0 = 15000) exceeds n = 1500
+        code, err, out = simulate_text(capsys, tmp_path, SMALL_CFG.replace(*edit),
+                                       "--workers", "2")
+        assert_one_line_usage_error(code, err)
+        assert "n1" in err
+        assert not out.exists()
+
     def test_nan_sweep_value_is_usage_error(self, tmp_path, capsys):
         text = SMALL_CFG.replace("sweep = n1", "sweep = theta0").replace(
             "sweep_values = 40,80", "sweep_values = 0.0,nan")
@@ -360,6 +389,23 @@ class TestEstimate:
         path.write_text("\n".join(["0.5"] * 50 + [bad] + ["-0.5"] * 50) + "\n")
         code, out, err = run_cli(capsys, "estimate", "--epsilon", "1", "--seed", "1",
                                  "--input", str(path))
+        assert_one_line_usage_error(code, err)
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--theta", "--theta0", "--sigma", "--range-lo",
+                                      "--range-hi"])
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_flag_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "estimate", "--epsilon", "1", "--seed", "1",
+                                 "--synthetic", "--n", "5000", f"{flag}={value}")
+        assert_one_line_usage_error(code, err)
+        assert out == ""
+        assert flag in err
+
+    def test_three_stage_sample_below_n0_is_usage_error(self, capsys):
+        # the default n0 is 15000; this used to end in a TypeError traceback
+        code, out, err = run_cli(capsys, "estimate", "--kind", "three", "--epsilon", "1",
+                                 "--seed", "1", "--synthetic", "--n", "100")
         assert_one_line_usage_error(code, err)
         assert out == ""
 

@@ -12,9 +12,11 @@ from ldpmean.estimators import (
     optimal_asymptotic_variance,
     rescaled_estimate,
     three_stage,
+    three_stage_pilot,
     two_stage,
+    two_stage_pilot,
 )
-from ldpmean.mechanisms import privacy_params, rr_matrix, verify_ldp
+from ldpmean.mechanisms import privacy_params, rr_matrix, sign_mechanism, verify_ldp
 from ldpmean.numerics import std_normal_cdf
 from ldpmean.quantized import sign_fisher_info
 
@@ -179,6 +181,14 @@ class TestThreeStage:
         result = three_stage(data, cfg, rng)
         assert result.stage_estimates[0] in (32.0, 96.0)
 
+    def test_balanced_round_goes_up(self):
+        # noiseless bits +1 and -1 around the midpoint 4 average to 0: ties go up
+        cfg = EstimatorConfig(epsilon=math.inf, n0=2, bits=1, n1=2,
+                              range_lo=0.0, range_hi=8.0)
+        data = np.array([5.0, 3.0, 6.0, 6.0, 6.0, 6.0])
+        result = three_stage(data, cfg, np.random.default_rng(0))
+        assert result.stage_estimates[0] == 6.0
+
     def test_preliminary_hits_exact_binary_mean(self):
         # 84.5 is exactly representable by 7 bisections of [0, 128]
         cfg = EstimatorConfig(epsilon=1.0, n0=7000, bits=7, n1=500,
@@ -211,6 +221,100 @@ class TestThreeStage:
         with pytest.raises(ValueError):
             three_stage(np.zeros(100), EstimatorConfig(
                 epsilon=1.0, n0=50, n1=10, range_lo=2.0, range_hi=1.0), rng)
+
+
+def reference_stage(data, center, params, rng):
+    """One stage as the paper states it: materialize the bits, average, invert."""
+    z_bar = float(sign_mechanism(data, center, params, rng).mean())
+    return invert_mean(z_bar, center, params), not abs(z_bar) < params.t_eps
+
+
+def reference_two_stage(data, cfg, rng):
+    params = privacy_params(cfg.epsilon)
+    n1 = cfg.n1 if cfg.n1 is not None else default_n1(data.size)
+    pilot, c1 = reference_stage(data[:n1], cfg.theta0, params, rng)
+    final, c2 = reference_stage(data[n1:], pilot, params, rng)
+    return final, (pilot, final), (c1, c2)
+
+
+def reference_three_stage(data, cfg, rng):
+    params = privacy_params(cfg.epsilon)
+    group = cfg.n0 // cfg.bits
+    lo, hi = cfg.range_lo, cfg.range_hi
+    for b in range(cfg.bits):
+        mid = (lo + hi) / 2.0
+        z = sign_mechanism(data[b * group:(b + 1) * group], mid, params, rng)
+        lo, hi = (mid, hi) if z.mean() >= 0.0 else (lo, mid)
+    prelim = (lo + hi) / 2.0
+    tail_cfg = EstimatorConfig(epsilon=cfg.epsilon, theta0=prelim, n1=cfg.n1)
+    final, stages, clamps = reference_two_stage(data[cfg.n0:], tail_cfg, rng)
+    return final, (prelim,) + stages, (False,) + clamps
+
+
+class TestCountedStagesMatchMaterializedBits:
+    """The estimators count released bits; a materializing reference must agree exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, math.inf])
+    def test_one_stage(self, seed, eps):
+        cfg = EstimatorConfig(epsilon=eps, theta0=0.3)
+        data = np.random.default_rng(50 + seed).standard_normal(1999)
+        result = one_stage(data, cfg, np.random.default_rng(seed))
+        est, clamped = reference_stage(data, 0.3, privacy_params(eps),
+                                       np.random.default_rng(seed))
+        assert (result.theta_hat, result.stage_estimates, result.clamped) == (
+            est, (est,), (clamped,))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("n1", [None, 1, 7, 100])
+    def test_two_stage(self, seed, eps, n1):
+        cfg = EstimatorConfig(epsilon=eps, theta0=-0.4, n1=n1)
+        data = np.random.default_rng(60 + seed).standard_normal(2000) + 0.1
+        result = two_stage(data, cfg, np.random.default_rng(seed))
+        assert (result.theta_hat, result.stage_estimates, result.clamped) == \
+            reference_two_stage(data, cfg, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_three_stage(self, seed):
+        cfg = EstimatorConfig(epsilon=1.0, n0=700, bits=7, n1=150, range_lo=-8.0, range_hi=8.0)
+        data = np.random.default_rng(70 + seed).standard_normal(3000) + 2.7
+        result = three_stage(data, cfg, np.random.default_rng(seed))
+        assert (result.theta_hat, result.stage_estimates, result.clamped) == \
+            reference_three_stage(data, cfg, np.random.default_rng(seed))
+
+    def test_data_on_the_center(self):
+        # every sample ties with the guess: all bits +1 before flipping
+        cfg = EstimatorConfig(epsilon=math.inf, theta0=0.5)
+        result = one_stage(np.full(50, 0.5), cfg, np.random.default_rng(0))
+        assert result.clamped == (True,)
+
+
+class TestPilotSizes:
+    def test_two_stage_pilot(self):
+        assert two_stage_pilot(10 ** 5, EstimatorConfig(epsilon=1.0)) == 3162
+        assert two_stage_pilot(100, EstimatorConfig(epsilon=1.0, n1=99)) == 99
+        for n1, n in ((0, 100), (100, 100), (-1, 100)):
+            with pytest.raises(ValueError, match="n1"):
+                two_stage_pilot(n, EstimatorConfig(epsilon=1.0, n1=n1))
+
+    def test_three_stage_pilot(self):
+        cfg = EstimatorConfig(epsilon=1.0, n0=1000, bits=7)
+        assert three_stage_pilot(1100, cfg) == default_n1(100)
+        assert three_stage_pilot(1100, EstimatorConfig(epsilon=1.0, n0=1000, n1=99)) == 99
+
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001])
+    def test_three_stage_sample_too_small(self, n):
+        # below n0 the default pilot size used to be int() of a complex power
+        with pytest.raises(ValueError, match="n0 \\+ n1 < n"):
+            three_stage_pilot(n, EstimatorConfig(epsilon=1.0, n0=1000))
+        with pytest.raises(ValueError, match="n0 \\+ n1 < n"):
+            three_stage(np.zeros(n), EstimatorConfig(epsilon=1.0, n0=1000),
+                        np.random.default_rng(0))
+
+    def test_three_stage_explicit_zero_pilot(self):
+        with pytest.raises(ValueError, match="1 <= n1"):
+            three_stage_pilot(5000, EstimatorConfig(epsilon=1.0, n0=1000, n1=0))
 
 
 class TestPrivacyAudit:

@@ -1,9 +1,10 @@
 """Golden bytes: the shipped configs must keep their CSV and manifest body.
 
 Each shipped config runs through ``ldpmean simulate`` at ``--seed 1
---replicates 20``.  The CSV is hashed whole; the manifest is hashed over
-its non-comment lines only (each with its newline), because the comment
-lines record the output path and the package version.
+--replicates 20``, and a small two-point sweep runs on a two-worker pool.
+The CSV is hashed whole; the manifest is hashed over its non-comment
+lines only (each with its newline), because the comment lines record the
+output path and the package version.
 """
 
 import hashlib
@@ -25,9 +26,32 @@ GOLDEN = {
              "fcdc6541e332598de222b45ca677dcd10ad1defc855f5d958fc5b234adb6c867"),
 }
 
+# Two sweep points on a two-worker pool: the spans of both points are in
+# flight together, and the bytes must match a serial run's.
+POOL_CFG = """\
+kind = two
+epsilon = 1.0
+theta_true = 0.0
+n = 2000
+n1 = 100
+replicates = 200
+sweep = theta0
+sweep_values = 0.0,1.0
+"""
+POOL_GOLDEN = ("50076aeb71a878283427ffacedd2ddfa273f007a656e101b5ebfea7d59b57d47",
+               "b547f08b3436384092d41ff22d727e99fd88ebbbf4404933d71a082a5afdaaa8")
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def output_hashes(out: Path) -> tuple[str, str]:
+    """sha256 of the CSV and of the manifest's non-comment lines."""
+    manifest = Path(f"{out}.manifest").read_text()
+    body = "".join(line + "\n" for line in manifest.splitlines()
+                   if not line.startswith("#"))
+    return sha256(out.read_bytes()), sha256(body.encode())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -36,9 +60,13 @@ def test_shipped_config_bytes(name, tmp_path):
     code = main(["simulate", str(CONFIGS / f"{name}.cfg"), "--seed", "1",
                  "--replicates", "20", "--output", str(out)])
     assert code == EXIT_OK
-    manifest = Path(f"{out}.manifest").read_text()
-    body = "".join(line + "\n" for line in manifest.splitlines()
-                   if not line.startswith("#"))
-    csv_hash, body_hash = GOLDEN[name]
-    assert sha256(out.read_bytes()) == csv_hash
-    assert sha256(body.encode()) == body_hash
+    assert output_hashes(out) == GOLDEN[name]
+
+
+def test_pool_sweep_bytes(tmp_path):
+    cfg = tmp_path / "pool.cfg"
+    cfg.write_text(POOL_CFG)
+    out = tmp_path / "pool.csv"
+    code = main(["simulate", str(cfg), "--seed", "1", "--workers", "2", "--output", str(out)])
+    assert code == EXIT_OK
+    assert output_hashes(out) == POOL_GOLDEN

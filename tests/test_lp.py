@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ldpmean.lp as lp_module
 from ldpmean.lp import (
     build_staircase_lp,
     certificate_margin,
@@ -320,6 +321,24 @@ class TestWeakDualityChain:
         assert report["chain_holds"]
         assert report["feasible"]
         assert report["primal_value"] == pytest.approx(report["dual_value"], abs=1e-8)
+
+    @pytest.mark.parametrize("k, eps", [(6, 1.0), (8, 3.0)])
+    def test_one_model_per_chain(self, monkeypatch, k, eps):
+        builds = []
+
+        def counting_build(level):
+            builds.append(level)
+            return build_quantized_model(level)
+
+        monkeypatch.setattr(lp_module, "build_quantized_model", counting_build)
+        params = privacy_params(eps)
+        report = equality_chain(k, params)
+        assert builds == [k]
+        sweep = check_dual_feasibility(k, params)
+        assert builds == [k, k]
+        assert (report["feasible"], report["worst_slack"], report["worst_column"]) == (
+            sweep.feasible, sweep.worst_slack, sweep.worst_column)
+        assert report["dual_value"] == float(dual_certificate(k, params).beta.sum())
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0])
     def test_nan_or_negative_tol_rejected(self, tol):

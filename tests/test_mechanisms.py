@@ -6,6 +6,7 @@ import pytest
 from ldpmean.mechanisms import (
     privacy_params,
     randomized_response,
+    released_bit_sum,
     rr_matrix,
     sign_mechanism,
     verify_ldp,
@@ -140,6 +141,38 @@ class TestSignMechanism:
                 freq = np.mean(z[mask] == out_sym)
                 band = 3.0 * math.sqrt(mat[i, j] * (1 - mat[i, j]) / m)
                 assert abs(freq - mat[i, j]) < band
+
+
+class TestReleasedBitSum:
+    """Oracle: the sum of the materialized bits, and the generator state after."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 7, 2000])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, math.inf])
+    def test_matches_materialized_bits(self, seed, m, eps):
+        params = privacy_params(eps)
+        x = np.random.default_rng(100 + seed).standard_normal(m)
+        x[::3] = 0.25  # exact ties with the center
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        total = released_bit_sum(x, 0.25, params, a)
+        assert type(total) is int
+        assert total == int(sign_mechanism(x, 0.25, params, b).sum())
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 2000])
+    def test_ties_release_plus_one(self, m):
+        center = 1.5
+        rng = np.random.default_rng(4)
+        assert released_bit_sum(np.full(m, center), center, privacy_params(math.inf), rng) == m
+        assert released_bit_sum(np.full(m, center - 1.0), center,
+                                privacy_params(math.inf), rng) == -m
+
+    def test_scalar_input(self):
+        params = privacy_params(1.0)
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert released_bit_sum(0.0, 0.0, params, a) == sign_mechanism(0.0, 0.0, params, b)
+            assert a.random() == b.random()
 
 
 class TestRrMatrix:

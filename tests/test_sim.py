@@ -1,8 +1,13 @@
+import functools
 import math
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import EXTRA_QUEUED_CALLS
 
 import numpy as np
 import pytest
 
+import ldpmean.sim as sim
 from ldpmean.estimators import (
     EstimatorConfig,
     one_stage,
@@ -21,6 +26,7 @@ from ldpmean.sim import (
     estimate,
     results_to_csv,
     run_experiment,
+    _run_block,
     synthetic_sample,
     theoretical_reference,
 )
@@ -31,6 +37,55 @@ def small_config(**overrides):
                 master_seed=99, sweep_name="n1", sweep_values=(30.0, 100.0))
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _no_work(*_args, **_kwargs):
+    raise AssertionError("a pool started or a replicate ran before validation failed")
+
+
+def _held_block(tmp, config, sweep_index, r_lo, r_hi):
+    """``_run_block`` that marks each start and end in ``tmp``.
+
+    The first span fails at once.  Every other span holds its worker
+    until the pool has been shut down (the ``released`` file), so no
+    worker can take a span while the failure is on its way.
+    """
+    (tmp / "started" / f"{sweep_index}-{r_lo}").touch()
+    if sweep_index == 0 and r_lo == 0:
+        raise RuntimeError("block failed")
+    deadline = time.monotonic() + 60.0
+    while not (tmp / "released").exists():
+        if time.monotonic() > deadline:
+            raise TimeoutError("the pool was never shut down")
+        time.sleep(0.005)
+    result = _run_block(config, sweep_index, r_lo, r_hi)
+    (tmp / "ended" / f"{sweep_index}-{r_lo}").touch()
+    return result
+
+
+class _ReleasingPool(ProcessPoolExecutor):
+    """Pool that releases the held spans when it is shut down.
+
+    A shutdown that cancels does so before the release, so a cancelled
+    span can never start; one that does not cancel lets every span run.
+    """
+
+    def __init__(self, tmp, **kwargs):
+        super().__init__(**kwargs)
+        self._release = tmp / "released"
+        self._futures = []
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        self._futures.append(future)
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        if cancel_futures:
+            for future in self._futures:
+                future.cancel()  # fails for the spans already handed to a worker
+        self._release.touch()
+        super().shutdown(wait, cancel_futures=cancel_futures)
 
 
 class TestBootstrap:
@@ -138,6 +193,33 @@ class TestValidation:
         with pytest.raises(ValueError, match="workers"):
             run_experiment(small_config(), workers=workers)
 
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(sweep_values=(30.0, 2000.0)), "n1"),
+        (dict(sweep_values=(30.0, 0.0)), "n1"),
+        (dict(sweep_name="n", sweep_values=(2000.0, 100.0), n1=100), "n1"),
+        (dict(sweep_name="theta0", sweep_values=(0.0,), n1=5000), "n1"),
+        (dict(kind="three", sweep_name="theta0", sweep_values=(0.0,)), "n0"),
+        (dict(kind="three", sweep_name="n", sweep_values=(3000.0, 1000.0), n0=1000,
+              n1=100), "n0"),
+        (dict(kind="three", n0=500, bits=0), "bits"),
+        (dict(kind="three", n0=5, bits=7), "bits"),
+        (dict(kind="three", n0=500, range_lo=1.0, range_hi=1.0), "range"),
+    ])
+    def test_pilot_sizes_before_any_work(self, monkeypatch, overrides, match):
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", _no_work)
+        monkeypatch.setattr(sim, "_run_block", _no_work)
+        with pytest.raises(ValueError, match=match):
+            run_experiment(small_config(**overrides), workers=2)
+
+    @pytest.mark.parametrize("sigma", [0.0, -2.0])
+    def test_sigma_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be > 0"):
+            run_experiment(small_config(sigma=sigma))
+
+    def test_infinite_epsilon_runs(self):
+        results = run_experiment(small_config(epsilon=math.inf, replicates=8))
+        assert all(math.isfinite(r.scaled_mse) for r in results)
+
 
 class TestEstimate:
     def test_dispatch_matches_estimators(self):
@@ -185,6 +267,38 @@ class TestDeterminism:
         a = run_experiment(small_config())
         b = run_experiment(small_config(master_seed=100))
         assert a != b
+
+
+class TestPool:
+    def test_worker_counts_agree_on_three_points(self):
+        # 30 replicates cut into spans of 8, 4 and 3 for 1, 2 and 3 workers
+        config = small_config(replicates=30, sweep_values=(30.0, 60.0, 100.0))
+        reference = run_experiment(config, workers=1)
+        assert len(reference) == 3
+        for workers in (2, 3):
+            assert run_experiment(config, workers=workers) == reference
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_block_propagates_and_cancels_the_rest(self, tmp_path, monkeypatch,
+                                                           workers):
+        for name in ("started", "ended"):
+            (tmp_path / name).mkdir()
+        monkeypatch.setattr(sim, "_run_block", functools.partial(_held_block, tmp_path))
+        monkeypatch.setattr(sim, "ProcessPoolExecutor",
+                            functools.partial(_ReleasingPool, tmp_path))
+        config = small_config(replicates=32, sweep_values=(30.0, 60.0, 100.0))
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_experiment(config, workers=workers)
+        started = {p.name for p in (tmp_path / "started").iterdir()}
+        ended = {p.name for p in (tmp_path / "ended").iterdir()}
+        # every span that started has ended: nothing is left running
+        assert ended == started - {"0-0"}
+        # only the failed span, one held span per worker and the spans the
+        # executor had already queued for its workers may start; at 2
+        # workers that is 6 of the 24 spans
+        assert len(started) <= 1 + workers + (workers + EXTRA_QUEUED_CALLS)
+        if workers == 1:
+            assert started == {"0-0"}
 
 
 class TestCsv:
