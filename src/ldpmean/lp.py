@@ -39,8 +39,7 @@ from .mechanisms import PrivacyParams
 from .quantized import (QuantizedModel, build_quantized_model, row_information,
                         row_information_many, sign_fisher_info)
 
-MAX_BUILD_K = 20          # S materialization: 2^k columns
-MAX_SOLVE_K = 12          # dense simplex
+MAX_SOLVE_K = 12          # dense simplex over the materialized 2^k columns
 _SWEEP_BLOCK = 1 << 18    # corner slacks evaluated per block of the sweep grid
 _SWEEP_TOL = 1e-9         # slack a feasible certificate may fall below zero
 
@@ -110,9 +109,9 @@ def _check_tol(tol: float) -> None:
 
 
 def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
-    """Materialize S and mu for even 2 <= k <= 20."""
-    if k > MAX_BUILD_K:
-        raise ValueError(f"k must satisfy 2 <= k <= {MAX_BUILD_K}, got {k!r}")
+    """Materialize S and mu for even 2 <= k <= 12 (4096 columns)."""
+    if k > MAX_SOLVE_K:
+        raise ValueError(f"k must satisfy 2 <= k <= {MAX_SOLVE_K}, got {k!r}")
     model = build_quantized_model(k)
     js = np.arange(1 << k, dtype=np.int64)
     S = _column_bits(js, k).T * (_exp_epsilon(params) - 1.0) + 1.0
@@ -137,15 +136,11 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     def iterate(costs: np.ndarray, n_allowed: int) -> None:
         for _ in range(max_iter):
             reduced = costs[:n_allowed] - costs[basis] @ T[:, :n_allowed]
-            improving = np.nonzero(reduced > tol)[0]
-            basic = set(basis.tolist())
-            entering = -1
-            for j in improving:  # Bland: lowest improving nonbasic index
-                if int(j) not in basic:
-                    entering = int(j)
-                    break
-            if entering < 0:
+            improving = reduced > tol
+            improving[basis[basis < n_allowed]] = False
+            if not improving.any():
                 return
+            entering = int(np.argmax(improving))  # Bland: lowest improving nonbasic index
             col = T[:, entering]
             rows = np.where(col > tol)[0]
             if rows.size == 0:
@@ -159,9 +154,9 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
 
     def pivot(row: int, col: int) -> None:
         T[row] /= T[row, col]
-        for i in range(m):
-            if i != row and T[i, col] != 0.0:
-                T[i] -= T[i, col] * T[row]
+        factors = T[:, col].copy()
+        factors[row] = 0.0
+        T[:] -= factors[:, None] * T[row]
         basis[row] = col
 
     # Phase 1: drive the artificial variables out.
@@ -191,13 +186,11 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 
 def solve_primal(lp: StaircaseLp) -> PrimalSolution:
-    """Solve the staircase program exactly; k is capped at 12 (4096 columns).
+    """Solve the staircase program exactly with the dense simplex.
 
     The result is a vertex, hence carries at most k strictly positive
     weights.
     """
-    if lp.k > MAX_SOLVE_K:
-        raise ValueError(f"solve_primal supports k <= {MAX_SOLVE_K}, got {lp.k}")
     alpha, value = _simplex_max(lp.S, np.ones(lp.k), lp.mu_vec)
     return PrimalSolution(alpha=alpha, value=value)
 

@@ -300,11 +300,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MseResult
 
 
 def _fmt(x: float) -> str:
-    """Reals with 9 significant digits; inf/nan spelled out."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
+    """Reals with 9 significant digits; the format spells inf, -inf and nan."""
     return f"{x:.9g}"
 
 

@@ -119,6 +119,16 @@ class TestLpVerify:
     def test_oversized_level_usage_error(self, capsys):
         assert run_cli(capsys, "lp-verify", "--k", "14", "--epsilon", "1")[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("k", ["14", "16", "20"])
+    def test_oversized_level_rejected_before_building(self, capsys, monkeypatch, k):
+        def no_columns(js, k):
+            raise AssertionError("staircase columns built for an oversized level")
+
+        monkeypatch.setattr("ldpmean.lp._column_bits", no_columns)
+        code, out, err = run_cli(capsys, "lp-verify", "--k", k, "--epsilon", "1")
+        assert_one_line_usage_error(code, err)
+        assert out == ""
+
     @pytest.mark.parametrize("eps", ["800", "inf"])
     def test_non_finite_staircase_entry_usage_error(self, capsys, eps):
         code, out, err = run_cli(capsys, "lp-verify", "--k", "4", "--epsilon", eps)

@@ -86,3 +86,28 @@ class TestQuantile:
         # quantile(cdf(x)) = x within 1e-8 on [-6, 6]
         for x in np.linspace(-6.0, 6.0, 1201):
             assert std_normal_quantile(std_normal_cdf(x)) == pytest.approx(x, abs=1e-8)
+
+
+class TestQuantileTails:
+    def test_within_eight_ulp_of_mpmath(self):
+        # reference: the 50-digit root of ncdf(x) = p, solved on the log
+        # scale of the nearer tail so that tiny tail masses keep their digits
+        mpmath = pytest.importorskip("mpmath")
+
+        @mpmath.workdps(50)
+        def reference(p):
+            p = mpmath.mpf(p)
+            tail, sign = (p, -1) if p <= 0.5 else (1 - p, 1)
+            z0 = mpmath.sqrt(-2 * mpmath.log(tail)) if tail < 0.3 else mpmath.mpf("0.1")
+            return sign * mpmath.findroot(
+                lambda z: mpmath.log(mpmath.ncdf(-z)) - mpmath.log(tail), z0)
+
+        ps = np.concatenate([
+            np.geomspace(5e-324, 0.49, 300),
+            1.0 - np.geomspace(2.0 ** -53, 0.49, 300),
+            [1.0 - 1e-10],
+        ])
+        for p in ps:
+            exact = reference(float(p))
+            err = abs(mpmath.mpf(std_normal_quantile(float(p))) - exact)
+            assert err <= 8 * math.ulp(float(exact)), p
