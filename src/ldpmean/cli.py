@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -206,22 +207,42 @@ def _cmd_simulate(args) -> int:
         return EXIT_IO
     config = experiment_config_from_text(text, master_seed=args.seed,
                                          replicates_override=args.replicates)
+    out = Path(args.output)
+    manifest = Path(f"{out}.manifest")
+    if not out.parent.is_dir() or out.is_dir() or manifest.is_dir():
+        print(f"error: cannot write output {out}: its directory is missing, "
+              "or it or its manifest is a directory", file=sys.stderr)
+        return EXIT_IO
     try:
         results = run_experiment(config, workers=args.workers)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    csv_text = results_to_csv(results, config.sweep_name)
-    out = Path(args.output)
     try:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(csv_text)
-        with open(f"{out}.manifest", "w", newline="\n") as fh:
-            fh.write(manifest_text(config, str(out)))
+        _write_atomically([(manifest, manifest_text(config, str(out))),
+                           (out, results_to_csv(results, config.sweep_name))])
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
+
+
+def _write_atomically(files: list[tuple[Path, str]]) -> None:
+    """Write each (path, text) to a temporary file beside it, then rename them in order.
+
+    Every file is written before the first rename, and no temporary file
+    outlives the call; ``simulate`` renames the CSV last, so a CSV is never
+    left without the manifest of its run.
+    """
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in files]
+    try:
+        for tmp, (_, text) in zip(temps, files):
+            tmp.write_text(text, newline="\n")
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _load_values(path: str) -> np.ndarray:
@@ -308,6 +329,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():  # Python 3.11 parses "--flag=--" to []
+            raise _UsageError("an option was given '--' as its value")
         if getattr(args, "synthetic", False) and args.n is None:
             raise _UsageError("--synthetic requires --n")
         return args.func(args)

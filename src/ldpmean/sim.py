@@ -8,7 +8,9 @@ truth)^2) with a percentile-bootstrap confidence interval.
 Replicate r of sweep point s derives its random stream from
 SeedSequence(master_seed, spawn_key=(s, 0, r)) and the bootstrap of
 sweep point s from spawn_key=(s, 1), so results are bit-identical
-regardless of how replicates are scheduled across worker processes.
+regardless of how replicates are scheduled across worker processes.  A
+block of replicates computes those states itself and re-seeds one
+generator in place (``_replicate_states``).
 """
 
 from __future__ import annotations
@@ -40,6 +42,16 @@ CSV_HEADER = ("sweep_name,sweep_value,n,replicates,scaled_mse,ci_lo,ci_hi,"
 ESTIMATOR_KINDS = ("one", "two", "three")
 SWEEP_NAMES = ("n1", "theta0", "n")
 _BOOTSTRAP_BLOCK = 64  # resamples drawn per index matrix
+
+# numpy's SeedSequence hash (4-word pool) and PCG64 seeding, for _replicate_states
+_POOL = 4
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+_SEED_CHUNK = 4096  # replicates hashed per numpy pass
 
 
 class BudgetError(RuntimeError):
@@ -143,8 +155,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ValueError("sweep_values must be non-empty")
     if not config.sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {config.sigma!r}")
-    if config.replicates < 2:
-        raise ValueError(f"replicates must be >= 2, got {config.replicates}")
+    if not 2 <= config.replicates <= 2 ** 32:  # r is one SeedSequence word
+        raise ValueError(f"replicates must be in [2, 2**32], got {config.replicates}")
     if not 0 <= config.master_seed < 2 ** 64:
         raise ValueError("master_seed must be a 64-bit unsigned integer")
     total = 0
@@ -180,20 +192,83 @@ def _point_setup(config: ExperimentConfig, value: float):
     return n, theta_n, est_cfg
 
 
+def _replicate_states(master_seed: int, sweep_index: int, r_lo: int, r_hi: int):
+    """Yield the PCG64 state of each replicate r in [r_lo, r_hi) of one sweep point.
+
+    Each state equals ``np.random.PCG64(np.random.SeedSequence(master_seed,
+    spawn_key=(sweep_index, 0, r))).state`` without building either object.
+    The SeedSequence entropy is the master seed's 32-bit words, zero-padded
+    to the 4-word pool, then the words of sweep_index, 0 and r.  Its hash
+    constants advance independently of the data, so the fixed words are
+    mixed once, and the last word r (one word: r < 2**32) is mixed for a
+    chunk of replicates at a time in uint64 arithmetic masked to 32 bits.
+    Then come ``generate_state(4, uint64)`` and PCG64's seeding,
+    pcg_setseq_128_srandom_r, in Python ints.
+    """
+    if r_hi > 2 ** 32:
+        raise ValueError("replicate indices must fit in one 32-bit word")
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        x = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return x ^ (x >> 16)
+
+    def words(x):  # SeedSequence's split of an int: little-endian, at least one word
+        return [(x >> shift) & _MASK32 for shift in range(0, max(x.bit_length(), 1), 32)]
+
+    entropy = words(master_seed)
+    entropy += [0] * (_POOL - len(entropy)) + words(sweep_index) + [0]
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    r_const = hash_const
+    for lo in range(r_lo, r_hi, _SEED_CHUNK):
+        hash_const = r_const
+        r = np.arange(lo, min(lo + _SEED_CHUNK, r_hi), dtype=np.uint64)
+        mixed = [mix(p, hashmix(r)) for p in pool]
+        out, out_const = [], _INIT_B
+        for i in range(2 * _POOL):  # generate_state(4, uint64): 8 words over the pool
+            value = mixed[i % _POOL] ^ out_const
+            out_const = (out_const * _MULT_B) & _MASK32
+            value = (value * out_const) & _MASK32
+            out.append(value ^ (value >> 16))
+        seed_hi, seed_lo, seq_hi, seq_lo = ((out[i] | out[i + 1] << 32).tolist()
+                                            for i in range(0, 2 * _POOL, 2))
+        for a, b, c, d in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+            inc = (((c << 64 | d) << 1) | 1) & _MASK128
+            state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
+            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                   "has_uint32": 0, "uinteger": 0}
+
+
 def _run_block(config: ExperimentConfig, sweep_index: int,
                r_lo: int, r_hi: int):
-    """Run replicates [r_lo, r_hi) of one sweep point; returns errors and clamp flags."""
+    """Run replicates [r_lo, r_hi) of one sweep point; returns errors and clamp flags.
+
+    One generator serves the block, re-seeded in place for each replicate.
+    """
     n, theta_n, est_cfg = _point_setup(config, config.sweep_values[sweep_index])
     errors = np.empty(r_hi - r_lo)
     clamps = np.empty(r_hi - r_lo, dtype=bool)
-    for r in range(r_lo, r_hi):
-        seq = np.random.SeedSequence(entropy=config.master_seed,
-                                     spawn_key=(sweep_index, 0, r))
-        rng = np.random.default_rng(seq)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.default_rng(bitgen)
+    for i, state in enumerate(_replicate_states(config.master_seed, sweep_index, r_lo, r_hi)):
+        bitgen.state = state
         data = synthetic_sample(n, theta_n, config.sigma, rng)
         result = estimate(config.kind, data, est_cfg, config.sigma, rng)
-        errors[r - r_lo] = result.theta_hat - theta_n
-        clamps[r - r_lo] = any(result.clamped)
+        errors[i] = result.theta_hat - theta_n
+        clamps[i] = any(result.clamped)
     return r_lo, errors, clamps
 
 

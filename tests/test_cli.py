@@ -1,9 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+import ldpmean.sim as sim
 from ldpmean.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -45,9 +47,26 @@ def simulate_text(capsys, tmp_path, text, *flags):
     return code, err, out
 
 
+def _no_work(*_args, **_kwargs):
+    raise AssertionError("a replicate ran before the run was rejected")
+
+
+def _temporary_files(root):
+    return [p for p in root.rglob("*") if p.name.endswith(".tmp")]
+
+
 def assert_one_line_usage_error(code, err):
     assert code == EXIT_USAGE
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("fisher", "--epsilon=--"),
+    ("estimate", "--epsilon=1", "--seed=3", "--synthetic", "--n=50", "--n1=--"),
+    ("simulate", "any.cfg", "--seed=--", "--output=o.csv"),
+])
+def test_double_dash_option_value_is_usage_error(capsys, argv):
+    assert_one_line_usage_error(*run_cli(capsys, *argv)[::2])
 
 
 class TestFisher:
@@ -322,6 +341,66 @@ class TestSimulate:
         assert_one_line_usage_error(code, err)
         assert "'sweep_values'" in err
         assert not out.exists()
+
+    def test_replicate_cap_is_usage_error_before_any_work(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # n = 2 keeps 2**32 + 1 replicates inside the default draw budget
+        monkeypatch.setattr(sim, "_run_block", _no_work)
+        text = SMALL_CFG.replace("n = 1500", "n = 2\nn1 = 1").replace(
+            "sweep = n1", "sweep = theta0").replace("sweep_values = 40,80", "sweep_values = 0")
+        code, err, out = simulate_text(capsys, tmp_path, text,
+                                       "--replicates", str(2 ** 32 + 1), "--workers", "2")
+        assert_one_line_usage_error(code, err)
+        assert "replicates" in err
+        assert not out.exists()
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(SMALL_CFG.encode() + b"# caf\xe9\n")
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "simulate", str(cfg), "--seed", "7",
+                               "--output", str(out))
+        assert_one_line_usage_error(code, err)
+        assert not out.exists()
+
+    def test_success_leaves_no_temporary_file(self, tmp_path, capsys):
+        code, _, out = simulate_text(capsys, tmp_path, SMALL_CFG, "--replicates", "4")
+        assert code == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest",
+                                                              "run.cfg"]
+
+    @pytest.mark.parametrize("layout", ["missing_dir", "csv_is_dir", "manifest_is_dir"])
+    def test_unwritable_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     layout):
+        monkeypatch.setattr(sim, "_run_block", _no_work)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG)
+        out = tmp_path / "out" / "out.csv"
+        if layout != "missing_dir":
+            out.parent.mkdir()
+            (out if layout == "csv_is_dir" else out.with_name("out.csv.manifest")).mkdir()
+        code, _, err = run_cli(capsys, "simulate", str(cfg), "--seed", "7",
+                               "--output", str(out))
+        assert code == EXIT_IO
+        assert err.startswith("error: cannot write output")
+        assert not out.is_file()
+        assert _temporary_files(tmp_path) == []
+
+    def test_failed_rename_leaves_no_csv_and_no_temporary_file(self, tmp_path, capsys,
+                                                                monkeypatch):
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if str(dst).endswith(".csv"):
+                raise PermissionError(f"cannot replace {dst}")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code, err, out = simulate_text(capsys, tmp_path, SMALL_CFG, "--replicates", "4")
+        assert code == EXIT_IO
+        assert err.startswith("error: cannot write output")
+        assert not out.exists()
+        assert _temporary_files(tmp_path) == []
 
     def test_bundled_config_parses(self, capsys):
         import ldpmean

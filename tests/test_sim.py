@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import time
@@ -26,6 +27,7 @@ from ldpmean.sim import (
     estimate,
     results_to_csv,
     run_experiment,
+    _replicate_states,
     _run_block,
     synthetic_sample,
     theoretical_reference,
@@ -161,6 +163,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_experiment(small_config(replicates=1))
 
+    def test_replicate_cap_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", _no_work)
+        monkeypatch.setattr(sim, "_run_block", _no_work)
+        config = small_config(n=2, n1=1, sweep_name="theta0", sweep_values=(0.0,))
+        sim._validate(dataclasses.replace(config, replicates=2 ** 32))
+        with pytest.raises(ValueError, match="replicates"):
+            run_experiment(dataclasses.replace(config, replicates=2 ** 32 + 1), workers=2)
+
     def test_kind_and_sweep(self):
         with pytest.raises(ValueError):
             run_experiment(small_config(kind="four"))
@@ -247,6 +257,71 @@ class TestEstimate:
         sample = synthetic_sample(50, 0.25, 3.0, np.random.default_rng(3))
         assert np.array_equal(sample, draws * 3.0 + 0.25)
         assert np.array_equal(synthetic_sample(50, 0.0, 1.0, np.random.default_rng(3)), draws)
+
+
+def _oracle_state(seed, s, r):
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(s, 0, r))).state
+
+
+def _state_of(seed, s, r):
+    (state,) = _replicate_states(seed, s, r, r + 1)
+    return state
+
+
+class TestReplicateStates:
+    """The vectorized seeding against numpy's own SeedSequence and PCG64."""
+
+    SAMPLED = [int(r) for r in np.random.default_rng(2024).integers(0, 2 ** 32, size=6)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32, 2 ** 64 - 1])
+    @pytest.mark.parametrize("s", [0, 1, 7])
+    def test_states_match_seed_sequence(self, seed, s):
+        for r in [0, 1, 2 ** 31, 2 ** 32 - 1, *self.SAMPLED]:
+            assert _state_of(seed, s, r) == _oracle_state(seed, s, r), r
+
+    def test_span_across_hash_chunks(self):
+        lo, hi = sim._SEED_CHUNK - 3, 2 * sim._SEED_CHUNK + 2
+        states = list(_replicate_states(12345, 2, lo, hi))
+        assert len(states) == hi - lo
+        for r in [lo, sim._SEED_CHUNK - 1, sim._SEED_CHUNK, 2 * sim._SEED_CHUNK, hi - 1]:
+            assert states[r - lo] == _oracle_state(12345, 2, r), r
+
+    def test_empty_span_and_cap(self):
+        assert list(_replicate_states(1, 0, 5, 5)) == []
+        assert _state_of(3, 0, 2 ** 32 - 1) == _oracle_state(3, 0, 2 ** 32 - 1)
+        with pytest.raises(ValueError, match="32-bit"):
+            next(_replicate_states(3, 0, 2 ** 32 - 1, 2 ** 32 + 1))
+
+    def test_reseeded_generator_draws_like_a_fresh_one(self):
+        bitgen = np.random.PCG64(0)
+        rng = np.random.default_rng(bitgen)
+        for r, state in enumerate(_replicate_states(99, 1, 0, 4)):
+            bitgen.state = state
+            fresh = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(1, 0, r)))
+            assert np.array_equal(rng.standard_normal(5), fresh.standard_normal(5))
+            assert np.array_equal(rng.random(5), fresh.random(5))
+            # an odd count of 32-bit draws leaves half a word buffered
+            rng.integers(0, 10, size=3, dtype=np.uint32)
+            assert bitgen.state["has_uint32"] == 1
+        bitgen.state = _state_of(99, 1, 4)
+        fresh = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(1, 0, 4)))
+        assert np.array_equal(rng.integers(0, 10, size=5, dtype=np.uint32),
+                              fresh.integers(0, 10, size=5, dtype=np.uint32))
+
+    def test_block_matches_per_replicate_seed_sequences(self):
+        config = small_config(replicates=12, kind="three", n=900, n0=300, bits=4,
+                              range_hi=8.0, theta_true=2.5, sweep_name="theta0",
+                              sweep_values=(0.0, 1.0))
+        n, theta_n, est_cfg = sim._point_setup(config, 1.0)
+        expected = []
+        for r in range(3, 11):
+            rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(1, 0, r)))
+            data = synthetic_sample(n, theta_n, 1.0, rng)
+            result = estimate("three", data, est_cfg, 1.0, rng)
+            expected.append(result.theta_hat - theta_n)
+        lo, errors, _ = _run_block(config, 1, 3, 11)
+        assert lo == 3
+        assert errors.tolist() == expected
 
 
 class TestDeterminism:
