@@ -238,13 +238,13 @@ def _replicate_states(master_seed: int, sweep_index: int, r_lo: int, r_hi: int):
         r = np.arange(lo, min(lo + _SEED_CHUNK, r_hi), dtype=np.uint64)
         mixed = [mix(p, hashmix(r)) for p in pool]
         out, out_const = [], _INIT_B
-        for i in range(2 * _POOL):  # generate_state(4, uint64): 8 words over the pool
+        for i in range(8):  # generate_state(4, uint64): 8 words, cycling over the pool
             value = mixed[i % _POOL] ^ out_const
             out_const = (out_const * _MULT_B) & _MASK32
             value = (value * out_const) & _MASK32
             out.append(value ^ (value >> 16))
         seed_hi, seed_lo, seq_hi, seq_lo = ((out[i] | out[i + 1] << 32).tolist()
-                                            for i in range(0, 2 * _POOL, 2))
+                                            for i in range(0, 8, 2))
         for a, b, c, d in zip(seed_hi, seed_lo, seq_hi, seq_lo):
             inc = (((c << 64 | d) << 1) | 1) & _MASK128
             state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128

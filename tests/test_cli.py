@@ -208,6 +208,9 @@ class TestSimulate:
         manifest = (tmp_path / "out.csv.manifest").read_text()
         assert "# master_seed = 7" in manifest
         assert "sweep_values = 40.0,80.0" in manifest
+        # no temporary file is left beside the outputs
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest",
+                                                              "run.cfg"]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -362,12 +365,6 @@ class TestSimulate:
                                "--output", str(out))
         assert_one_line_usage_error(code, err)
         assert not out.exists()
-
-    def test_success_leaves_no_temporary_file(self, tmp_path, capsys):
-        code, _, out = simulate_text(capsys, tmp_path, SMALL_CFG, "--replicates", "4")
-        assert code == EXIT_OK
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest",
-                                                              "run.cfg"]
 
     @pytest.mark.parametrize("layout", ["missing_dir", "csv_is_dir", "manifest_is_dir"])
     def test_unwritable_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
