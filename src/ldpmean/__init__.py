@@ -66,7 +66,6 @@ from .sim import (
     bootstrap_ci,
     results_to_csv,
     run_experiment,
-    theoretical_reference,
 )
 
 __all__ = [
@@ -116,7 +115,6 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
-    "theoretical_reference",
     "three_stage",
     "two_stage",
     "verify_ldp",

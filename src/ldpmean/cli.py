@@ -54,22 +54,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_ready(obj):
-    """Make a structure JSON-safe, spelling non-finite floats as strings."""
+    """Make a payload JSON-safe, spelling non-finite floats as strings."""
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_json_ready(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return x
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)  # "inf", "-inf" or "nan"
     return obj
 
 
@@ -126,10 +117,14 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
+def _converter(key: str):
+    """Parser of one config key's text; also the ``type`` of its estimate flag."""
+    return float if key == "epsilon" else _CONVERTERS[_CONFIG_FIELDS[key].type]
+
+
 def _convert(key: str, raw: str):
     try:
-        convert = float if key == "epsilon" else _CONVERTERS[_CONFIG_FIELDS[key].type]
-        return convert(raw)
+        return _converter(key)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
 
@@ -263,9 +258,8 @@ def _cmd_estimate(args) -> int:
         data = synthetic_sample(args.n, args.theta, args.sigma, rng)
     if not np.isfinite(data).all():
         raise ValueError("data values must be finite")
-    cfg = EstimatorConfig(epsilon=args.epsilon, theta0=args.theta0, n1=args.n1,
-                          n0=args.n0, bits=args.bits, range_lo=args.range_lo,
-                          range_hi=args.range_hi)
+    cfg = EstimatorConfig(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(EstimatorConfig)})
     result = estimate(args.kind, data, cfg, args.sigma, rng)
     _emit({
         "theta_hat": result.theta_hat,
@@ -307,15 +301,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="estimate from a data file or synthetic draws")
     p.add_argument("--kind", choices=ESTIMATOR_KINDS, default="two")
-    p.add_argument("--epsilon", type=float, required=True)
+    for key in [f.name for f in dataclasses.fields(EstimatorConfig)] + ["sigma"]:
+        default = _CONFIG_FIELDS[key].default
+        p.add_argument("--" + key.replace("_", "-"), type=_converter(key),
+                       required=default is dataclasses.MISSING, default=default)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--theta0", type=real, default=0.0)
-    p.add_argument("--n1", type=int, default=None)
-    p.add_argument("--n0", type=int, default=15_000)
-    p.add_argument("--bits", type=int, default=7)
-    p.add_argument("--range-lo", type=real, default=0.0)
-    p.add_argument("--range-hi", type=real, default=128.0)
-    p.add_argument("--sigma", type=real, default=1.0)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="newline-delimited reals")
     src.add_argument("--synthetic", action="store_true", help="draw N(theta, sigma^2) data")
@@ -337,6 +327,9 @@ def main(argv=None) -> int:
     except (_UsageError, ConfigError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # a draw too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .mechanisms import PrivacyParams, privacy_params, released_bit_sum
 # Not called here: perfbench/layertrace.py rebinds estimators.sign_mechanism.
 from .mechanisms import sign_mechanism  # noqa: F401
 from .numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
-from .quantized import scaled_fisher_info
+from .quantized import sign_fisher_info
 
 
 @dataclass(frozen=True)
@@ -181,16 +181,18 @@ def three_stage(data, config: EstimatorConfig,
 
 
 def one_stage_asymptotic_variance(theta: float, theta0: float,
-                                  params: PrivacyParams) -> float:
-    """Delta-method variance of the one-stage estimator.
+                                  params: PrivacyParams, sigma: float = 1.0) -> float:
+    """Delta-method variance of the one-stage estimator for known scale ``sigma``.
 
-    (1/4) (1/t_eps)^2 * (1 - t_eps^2 (1 - 2 Phi(theta0 - theta))^2)
-    / pdf(theta - theta0)^2.  Matches the optimal variance at theta0 =
-    theta and deteriorates exponentially as the guess drifts; depends on
-    the arguments only through |theta - theta0|.  Infinite at t_eps = 0
-    and once pdf(theta - theta0)^2 underflows to 0 (|theta - theta0|
-    above about 27.3).
+    sigma^2 times the unit-scale variance at (theta / sigma, theta0 /
+    sigma), which is (1/4) (1/t_eps)^2 * (1 - t_eps^2 (1 - 2 Phi(theta0 -
+    theta))^2) / pdf(theta - theta0)^2.  Matches the optimal variance at
+    theta0 = theta and deteriorates exponentially as the guess drifts;
+    depends on the arguments only through |theta - theta0| / sigma.
+    Infinite at t_eps = 0 and once pdf(.)^2 underflows to 0 (a scaled
+    distance above about 27.3).
     """
+    theta, theta0 = theta / sigma, theta0 / sigma
     t = params.t_eps
     if t == 0.0:
         return math.inf
@@ -200,15 +202,21 @@ def one_stage_asymptotic_variance(theta: float, theta0: float,
     den = std_normal_pdf(d) ** 2
     if den == 0.0:
         return math.inf
-    return 0.25 * num / (t * t * den)
+    return sigma * sigma * (0.25 * num / (t * t * den))
 
 
 def optimal_asymptotic_variance(params: PrivacyParams, sigma: float = 1.0) -> float:
-    """Inverse of the per-sample released information; inf at epsilon = 0."""
-    info = scaled_fisher_info(params, sigma)
+    """sigma^2 over the sign bit's information; inf at epsilon = 0.
+
+    sigma^2 is a numerator, never a divisor, so a sigma whose square
+    underflows gives 0 rather than an error.
+    """
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be > 0, got {sigma!r}")
+    info = sign_fisher_info(params)
     if info == 0.0:
         return math.inf
-    return 1.0 / info
+    return sigma * sigma / info
 
 
 def rescaled_estimate(data, sigma: float, config: EstimatorConfig,

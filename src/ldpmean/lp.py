@@ -21,8 +21,9 @@ The certificate itself stays feasible well beyond that proven bound: its
 threshold is about eps = 1.98 at k = 8 and falls to about 1.71 for
 k >= 1024.  Above it the sweep reports a column with negative slack.
 
-Budgets with a non-finite e^eps (eps above about 709.78, or inf) are
-rejected with ValueError: the staircase entries would overflow.
+Budgets whose staircase arithmetic would overflow float64, that is with
+k e^(2 eps) beyond the largest double (eps above about 354.9 - ln(k) / 2,
+and inf), are rejected with ValueError.
 
 Index convention: columns are identified everywhere by the integer whose
 binary word generates them (0 .. 2^k - 1).
@@ -85,14 +86,21 @@ class DualFeasibilityReport:
     worst_column: int
 
 
-def _exp_epsilon(params: PrivacyParams) -> float:
-    """e^eps, the high staircase entry; a non-finite value is a ValueError."""
+def _exp_epsilon(params: PrivacyParams, k: int) -> float:
+    """e^eps, the high staircase entry of a level-k program.
+
+    A column's information k (v . y)^2 / (v . 1) squares entries up to
+    e^eps, and the simplex multiplies them pairwise, so a budget with
+    k e^(2 eps) beyond float64 is a ValueError: past it the program's
+    values turn inf and NaN.
+    """
     try:
         value = math.exp(params.epsilon)
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"staircase entries need a finite e^epsilon, got epsilon={params.epsilon!r}")
+    if not math.isfinite(k * value * value):
+        raise ValueError(f"staircase arithmetic overflows float64 at epsilon={params.epsilon!r}, "
+                         f"k={k}: need k e^(2 epsilon) finite")
     return value
 
 
@@ -114,7 +122,7 @@ def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
         raise ValueError(f"k must satisfy 2 <= k <= {MAX_SOLVE_K}, got {k!r}")
     model = build_quantized_model(k)
     js = np.arange(1 << k, dtype=np.int64)
-    S = _column_bits(js, k).T * (_exp_epsilon(params) - 1.0) + 1.0
+    S = _column_bits(js, k).T * (_exp_epsilon(params, k) - 1.0) + 1.0
     mu_vec = row_information_many(S, model)
     S.setflags(write=False)
     mu_vec.setflags(write=False)
@@ -167,11 +175,12 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     for i in range(m):
         if basis[i] >= n:
             # Degenerate artificial still basic at level ~0: swap it for
-            # any structural column with a nonzero entry in this row.
+            # any structural column with a nonzero entry in this row.  With
+            # none the row is redundant (at e^eps = 1 every row is all ones):
+            # the artificial stays basic at 0, and no pivot can move it.
             structural = np.where(np.abs(T[i, :n]) > tol)[0]
-            if structural.size == 0:
-                raise RuntimeError("rank-deficient constraint matrix")
-            pivot(i, int(structural[0]))
+            if structural.size:
+                pivot(i, int(structural[0]))
 
     # Phase 2 on the original objective, artificials barred from entering.
     phase2 = np.concatenate([c, np.zeros(m)])
@@ -266,7 +275,7 @@ def _sweep(model: QuantizedModel, params: PrivacyParams,
            tol: float) -> DualFeasibilityReport:
     """``check_dual_feasibility`` on an already built model."""
     k = model.k
-    scale = _exp_epsilon(params) - 1.0
+    scale = _exp_epsilon(params, k) - 1.0
     beta = _certificate(model, params).beta
     half = k // 2
     # Per half: index orders by ascending and by descending |y|, shape (2, half).

@@ -127,18 +127,18 @@ def fisher_info_quantized(Q, model: QuantizedModel) -> float:
 
 
 def embed_sign_channel(params: PrivacyParams, k: int) -> np.ndarray:
-    """Sign mechanism as a level-k channel (k x k, two live output rows).
+    """Sign mechanism as a level-k channel: its two live output rows, shape (2, k).
 
     Output row 0 aggregates the lower half of the input cells with
-    keep-probability p_eps and row 1 its complement; the remaining k - 2
-    output symbols are never emitted.  Its information equals
-    ``sign_fisher_info`` for every even k.
+    keep-probability p_eps and row 1 its complement; a level-k channel's
+    other k - 2 output symbols would never be emitted, so they are left
+    out.  Its information equals ``sign_fisher_info`` for every even k.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"embedding requires an even k >= 2, got {k!r}")
     p = params.p_eps
     half = k // 2
-    mat = np.zeros((k, k))
+    mat = np.empty((2, k))
     mat[0, :half] = p
     mat[0, half:] = 1.0 - p
     mat[1, :half] = 1.0 - p
@@ -157,7 +157,10 @@ def sign_fisher_info(params: PrivacyParams) -> float:
 
 
 def scaled_fisher_info(params: PrivacyParams, sigma: float) -> float:
-    """Per-sample information for known standard deviation ``sigma`` > 0."""
+    """Per-sample information for known standard deviation ``sigma`` > 0.
+
+    Divides by sigma twice: sigma^2 may underflow to 0, sigma itself never.
+    """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    return sign_fisher_info(params) / (sigma * sigma)
+    return sign_fisher_info(params) / sigma / sigma

@@ -18,7 +18,7 @@ from __future__ import annotations
 import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,10 +34,7 @@ from .estimators import (
     two_stage,
     two_stage_pilot,
 )
-from .mechanisms import PrivacyParams, privacy_params
-
-CSV_HEADER = ("sweep_name,sweep_value,n,replicates,scaled_mse,ci_lo,ci_hi,"
-              "clamp_rate,theory_optimal,theory_one_stage")
+from .mechanisms import privacy_params
 
 ESTIMATOR_KINDS = ("one", "two", "three")
 SWEEP_NAMES = ("n1", "theta0", "n")
@@ -75,14 +72,14 @@ class ExperimentConfig:
     kind: str
     epsilon: float
     theta_true: float
-    theta0: float = 0.0
+    theta0: float = EstimatorConfig.theta0
     h_over_sqrt_n: float = field(default=0.0, metadata={"key": "h"})
     n: int
-    n1: int | None = None
-    n0: int = 15_000
-    bits: int = 7
-    range_lo: float = 0.0
-    range_hi: float = 128.0
+    n1: int | None = EstimatorConfig.n1
+    n0: int = EstimatorConfig.n0
+    bits: int = EstimatorConfig.bits
+    range_lo: float = EstimatorConfig.range_lo
+    range_hi: float = EstimatorConfig.range_hi
     sigma: float = 1.0
     replicates: int
     sweep_name: str = field(metadata={"key": "sweep"})
@@ -93,7 +90,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MseResult:
-    """One output row: the sweep value and its error summary."""
+    """One output row: the sweep value and its error summary.
+
+    The CSV columns are ``sweep_name`` and then these fields, in order.
+    """
 
     sweep_value: float
     n: int
@@ -104,6 +104,15 @@ class MseResult:
     clamp_rate: float
     theory_optimal: float
     theory_one_stage: float
+
+
+def _fmt(x: float) -> str:
+    """Reals with 9 significant digits; the format spells inf, -inf and nan."""
+    return f"{x:.9g}"
+
+
+CSV_HEADER = ",".join(["sweep_name", *(f.name for f in fields(MseResult))])
+_CSV_FORMATS = [(f.name, str if f.type == "int" else _fmt) for f in fields(MseResult)]
 
 
 def _check_kind(kind: str, sigma: float) -> None:
@@ -174,22 +183,19 @@ def _validate(config: ExperimentConfig) -> None:
 def _point_setup(config: ExperimentConfig, value: float):
     """Resolve one sweep point to (n, theta_n, estimator config)."""
     n = config.n
-    n1 = config.n1
-    theta0 = config.theta0
+    est = {f.name: getattr(config, f.name) for f in fields(EstimatorConfig)}
     if config.sweep_name == "n":
         n = int(value)
     elif config.sweep_name == "n1":
-        n1 = int(value)
+        est["n1"] = int(value)
     else:
-        theta0 = float(value)
+        est["theta0"] = float(value)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     theta_n = config.theta_true + config.h_over_sqrt_n / math.sqrt(n)
-    est_cfg = EstimatorConfig(
-        epsilon=config.epsilon, theta0=theta0, n1=n1, n0=config.n0,
-        bits=config.bits, range_lo=config.range_lo, range_hi=config.range_hi,
-    )
-    return n, theta_n, est_cfg
+    if not math.isfinite(theta_n):
+        raise ValueError(f"theta_true + h / sqrt(n) overflows at n = {n}")
+    return n, theta_n, EstimatorConfig(**est)
 
 
 def _replicate_states(master_seed: int, sweep_index: int, r_lo: int, r_hi: int):
@@ -272,8 +278,8 @@ def _run_block(config: ExperimentConfig, sweep_index: int,
     return r_lo, errors, clamps
 
 
-def bootstrap_ci(values, level: float = 0.95, resamples: int = 1000,
-                 rng: np.random.Generator | None = None) -> tuple[float, float]:
+def bootstrap_ci(values, level: float = 0.95, resamples: int = 1000, *,
+                 rng: np.random.Generator) -> tuple[float, float]:
     """Percentile bootstrap interval for the mean of ``values``.
 
     Resampling happens at the entry (replicate) level.  Identical inputs
@@ -287,8 +293,6 @@ def bootstrap_ci(values, level: float = 0.95, resamples: int = 1000,
     if vals.min() == vals.max():
         v = float(vals[0])
         return v, v
-    if rng is None:
-        rng = np.random.default_rng()
     means = np.empty(resamples)
     n = vals.size
     for start in range(0, resamples, _BOOTSTRAP_BLOCK):
@@ -298,22 +302,6 @@ def bootstrap_ci(values, level: float = 0.95, resamples: int = 1000,
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(means, [tail, 1.0 - tail])
     return float(lo), float(hi)
-
-
-def theoretical_reference(kind: str, theta: float, theta0: float,
-                          params: PrivacyParams, sigma: float = 1.0) -> float:
-    """Reference variance line for a given estimator kind.
-
-    "optimal" and "two" return the inverse released information; "one"
-    evaluates the delta-method one-stage variance at the configured
-    guess (rescaled for general sigma).
-    """
-    if kind in ("optimal", "two"):
-        return optimal_asymptotic_variance(params, sigma)
-    if kind == "one":
-        return sigma * sigma * one_stage_asymptotic_variance(
-            theta / sigma, theta0 / sigma, params)
-    raise ValueError(f"kind must be 'one', 'two' or 'optimal', got {kind!r}")
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MseResult]:
@@ -362,10 +350,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MseResult
                     ci_lo=float(n * lo_mean),
                     ci_hi=float(n * hi_mean),
                     clamp_rate=float(clamps.mean()),
-                    theory_optimal=theoretical_reference("optimal", theta_n, est_cfg.theta0,
-                                                         params, config.sigma),
-                    theory_one_stage=theoretical_reference("one", theta_n, est_cfg.theta0,
-                                                           params, config.sigma),
+                    theory_optimal=optimal_asymptotic_variance(params, config.sigma),
+                    theory_one_stage=one_stage_asymptotic_variance(
+                        theta_n, est_cfg.theta0, params, config.sigma),
                 ))
         except BaseException:
             if pool is not None:  # drop the spans no worker has taken, wait for the rest
@@ -374,18 +361,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MseResult
     return results
 
 
-def _fmt(x: float) -> str:
-    """Reals with 9 significant digits; the format spells inf, -inf and nan."""
-    return f"{x:.9g}"
-
-
 def results_to_csv(results: list[MseResult], sweep_name: str) -> str:
     """Render results as the delimited report (header row mandatory)."""
     lines = [CSV_HEADER]
     for r in results:
-        lines.append(",".join([
-            sweep_name, _fmt(r.sweep_value), str(r.n), str(r.replicates),
-            _fmt(r.scaled_mse), _fmt(r.ci_lo), _fmt(r.ci_hi),
-            _fmt(r.clamp_rate), _fmt(r.theory_optimal), _fmt(r.theory_one_stage),
-        ]))
+        cells = (fmt(getattr(r, name)) for name, fmt in _CSV_FORMATS)
+        lines.append(",".join([sweep_name, *cells]))
     return "\n".join(lines) + "\n"

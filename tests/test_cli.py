@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +14,15 @@ from ldpmean.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    build_parser,
     experiment_config_from_text,
     main,
     parse_kv,
 )
+from ldpmean.estimators import EstimatorConfig
 from ldpmean.mechanisms import privacy_params
-from ldpmean.quantized import sign_fisher_info
+from ldpmean.quantized import MAX_LEVEL, sign_fisher_info
+from ldpmean.sim import ExperimentConfig
 
 SMALL_CFG = """\
 # lab-scale two-stage sweep
@@ -97,6 +102,25 @@ class TestFisher:
         payload = json.loads(out)
         assert payload["quantized_check"] == pytest.approx(
             payload["sign_fisher_info"], abs=1e-12)
+
+    def test_largest_level_in_bounded_memory(self, capsys):
+        # the embedded channel is (2, k): a dense k x k one would be 32 GiB here
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "fisher", "--epsilon", "1", "--k", str(MAX_LEVEL))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["quantized_check"] == pytest.approx(
+            payload["sign_fisher_info"], abs=1e-12)
+        assert peak < 32 * 2 ** 20
+
+    def test_square_of_sigma_underflows(self, capsys):
+        code, out, err = run_cli(capsys, "fisher", "--epsilon", "1", "--sigma", "1e-170")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["optimal_variance"] == 0.0
 
     def test_bad_flags(self, capsys):
         assert run_cli(capsys, "fisher", "--epsilon", "-1")[0] == EXIT_USAGE
@@ -357,6 +381,34 @@ class TestSimulate:
         assert "replicates" in err
         assert not out.exists()
 
+    def test_square_of_sigma_underflows(self, tmp_path, capsys):
+        code, err, out = simulate_text(capsys, tmp_path, SMALL_CFG + "sigma = 1e-200\n",
+                                       "--replicates", "4")
+        assert code == EXIT_OK, err
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[-2:] == ["0", "0"]  # theory_optimal, theory_one_stage: sigma^2 underflows
+
+    def test_overflowing_shifted_mean_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "_run_block", _no_work)
+        text = SMALL_CFG.replace("theta_true = 0.0", "theta_true = 1.7e308\nh = 1.7e308").replace(
+            "n = 1500", "n = 8\nn1 = 2").replace("sweep = n1", "sweep = theta0").replace(
+            "sweep_values = 40,80", "sweep_values = 0")
+        code, err, out = simulate_text(capsys, tmp_path, text)
+        assert_one_line_usage_error(code, err)
+        assert "overflows" in err
+        assert not out.exists()
+
+    def test_unallocatable_draw_is_budget_error(self, tmp_path, capsys):
+        # 8e15 bytes per replicate: beyond any address space, so the allocation fails at once
+        text = SMALL_CFG.replace("kind = two", "kind = one").replace(
+            "n = 1500", f"n = {10 ** 15}").replace("sweep = n1", "sweep = theta0").replace(
+            "sweep_values = 40,80", "sweep_values = 0") + f"max_total_draws = {10 ** 17}\n"
+        code, err, out = simulate_text(capsys, tmp_path, text, "--replicates", "2")
+        assert code == EXIT_BUDGET
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+        assert _temporary_files(tmp_path) == []
+
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(SMALL_CFG.encode() + b"# caf\xe9\n")
@@ -409,6 +461,22 @@ class TestSimulate:
 
 
 class TestEstimate:
+    def test_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["estimate", "--epsilon", "1", "--seed", "1",
+                                          "--synthetic"])
+        for f in dataclasses.fields(EstimatorConfig):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(args, f.name) == f.default, f.name
+        sigma, = (f for f in dataclasses.fields(ExperimentConfig) if f.name == "sigma")
+        assert args.sigma == sigma.default
+
+    def test_unallocatable_draw_is_budget_error(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--kind", "one", "--epsilon", "1",
+                                 "--seed", "1", "--synthetic", "--n", str(10 ** 15))
+        assert code == EXIT_BUDGET
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert out == ""
+
     def test_synthetic_reproducible(self, capsys):
         args = ("estimate", "--epsilon", "1", "--seed", "42", "--synthetic",
                 "--theta", "0.5", "--n", "5000")

@@ -301,7 +301,49 @@ class TestDualFeasibility:
             check_dual_feasibility(MAX_LEVEL + 2, privacy_params(1.0))
 
 
+# Budgets from the largest the guard leaves alone (300) to the last finite
+# e^eps (709), denser where k e^(2 eps) leaves float64 (eps about 353.6 to
+# 354.9 for k = 2..12) and where the unguarded programs turned NaN or inf.
+LARGE_BUDGETS = [300.0, 340.0, 349.0, 352.0, 353.0, 353.6, 353.7, 354.0, 354.5, 354.6,
+                 354.8, 355.0, 360.0, 395.3, 400.0, 500.0, 709.0]
+
+
+def _finite_reals(values):
+    return all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
+class TestLargeBudgets:
+    """Every large budget gives all-finite reals or a ValueError, never NaN or inf."""
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12])
+    def test_equality_chain(self, k):
+        for eps in LARGE_BUDGETS:
+            try:
+                report = equality_chain(k, privacy_params(eps))
+            except ValueError:
+                assert eps > 353.0
+                continue
+            assert _finite_reals(report.values()), (k, eps, report)
+
+    def test_certificate_sweep(self):
+        for eps in LARGE_BUDGETS:
+            try:
+                report = check_dual_feasibility(22, privacy_params(eps))
+            except ValueError:
+                assert eps > 300.0
+                continue
+            assert math.isfinite(report.worst_slack), (eps, report)
+
+
 class TestWeakDualityChain:
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("eps", [0.0, 1e-300])
+    def test_zero_information_budget(self, k, eps):
+        # e^eps = 1: every staircase column is all ones, so the k rows are one constraint
+        report = equality_chain(k, privacy_params(eps))
+        assert report["chain_holds"] and report["feasible"]
+        assert report["primal_value"] == report["candidate_value"] == report["dual_value"] == 0.0
+
     @pytest.mark.parametrize("k", [2, 4, 6, 8])
     @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
     def test_chain(self, k, eps):

@@ -2,10 +2,11 @@
 
 ``simulate`` runs on generated config files (known keys with edge and junk
 values, unknown keys, missing keys) at tiny replicate counts, and
-``estimate`` on generated flag sets.  Each run happens in process through
-``cli.main``; it must return one of the exit codes 0-4, and no exception
-may escape.  Sample sizes are drawn small so every case finishes fast; the
-examples are derandomized so the suite is stable.
+``estimate``, ``fisher`` and ``lp-verify`` on generated flag sets.  Each run
+happens in process through ``cli.main``; it must return one of the exit
+codes 0-4, and no exception may escape.  Sample sizes are drawn small so
+every case finishes fast; the examples are derandomized so the suite is
+stable.
 """
 
 import contextlib
@@ -66,10 +67,11 @@ BASE_CONFIG = {"kind": "two", "epsilon": "1.0", "theta_true": "0.0", "n": "600",
 
 
 def _run(argv):
+    """Run one command in process; return its exit code and stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue()
 
 
 @PROPERTY_SETTINGS
@@ -127,3 +129,39 @@ def test_estimate_ends_in_an_exit_code(flags, source, data):
             argv.append(source)
         code, _ = _run(argv)
     assert code in EXIT_CODES
+
+
+# Budgets up to 800 and inf: past about 354 the staircase arithmetic overflows
+EPSILONS = _mostly(st.one_of(st.floats(0, 800).map(repr), st.sampled_from(["inf", "0"])),
+                   EDGE_REALS)
+LEVELS = _mostly(st.one_of(st.integers(1, 16), st.integers(1, 65536)).map(str),
+                 st.sampled_from(["-2", "0", "65537", "65538", "2.5"]))
+
+
+@PROPERTY_SETTINGS
+@given(epsilon=EPSILONS,
+       sigma=st.one_of(st.none(), st.floats(-300, 300).map(lambda e: repr(10.0 ** e)),
+                       st.sampled_from(["0", "-0.0", "-1", "-1e-300"]), EDGE_REALS, JUNK),
+       k=st.one_of(st.none(), LEVELS))
+def test_fisher_ends_in_an_exit_code(epsilon, sigma, k):
+    argv = ["fisher", f"--epsilon={epsilon}"]
+    if sigma is not None:
+        argv.append(f"--sigma={sigma}")
+    if k is not None:
+        argv.append(f"--k={k}")
+    code, out = _run(argv)
+    assert code in EXIT_CODES
+    assert "nan" not in out
+
+
+@PROPERTY_SETTINGS
+@given(epsilon=EPSILONS, k=LEVELS,
+       tol=st.one_of(st.none(), st.floats(0, 1).map(repr),
+                     st.sampled_from(["nan", "-1", "-0.0", "inf", "1e-300"]), JUNK))
+def test_lp_verify_ends_in_an_exit_code(epsilon, k, tol):
+    argv = ["lp-verify", f"--k={k}", f"--epsilon={epsilon}"]
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    code, out = _run(argv)
+    assert code in EXIT_CODES
+    assert "nan" not in out

@@ -167,9 +167,17 @@ class TestFisherInfo:
 
     def test_zero_rows_contribute_zero(self):
         params = privacy_params(0.8)
-        mat = embed_sign_channel(params, 8)  # six all-zero output rows
-        value = fisher_info_quantized(mat, build_quantized_model(8))
+        model = build_quantized_model(8)
+        live = embed_sign_channel(params, 8)
+        mat = np.vstack([live, np.zeros((6, 8))])  # six all-zero output rows
+        value = fisher_info_quantized(mat, model)
         assert math.isfinite(value)
+        assert value == pytest.approx(fisher_info_quantized(live, model), abs=1e-15)
+
+    def test_embedded_sign_channel_has_two_rows(self):
+        mat = embed_sign_channel(privacy_params(1.0), 8)
+        assert mat.shape == (2, 8)
+        assert np.array_equal(mat.sum(axis=0), np.ones(8))
 
     def test_validation(self):
         model = build_quantized_model(4)

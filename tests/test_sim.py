@@ -30,7 +30,6 @@ from ldpmean.sim import (
     _replicate_states,
     _run_block,
     synthetic_sample,
-    theoretical_reference,
 )
 
 
@@ -126,36 +125,44 @@ class TestBootstrap:
 
 
 class TestTheoreticalReference:
+    """The CSV's theory columns: the variance functions, called directly."""
+
     def test_optimal(self):
         params = privacy_params(1.0)
-        assert theoretical_reference("optimal", 0.0, 0.0, params) == pytest.approx(
-            7.3555591266, abs=1e-9)
+        assert optimal_asymptotic_variance(params) == pytest.approx(7.3555591266, abs=1e-9)
 
     def test_one_stage_matches_optimal_at_true_guess(self):
         params = privacy_params(1.0)
-        assert theoretical_reference("one", 1.2, 1.2, params) == pytest.approx(
-            theoretical_reference("optimal", 1.2, 1.2, params), rel=1e-12)
+        assert one_stage_asymptotic_variance(1.2, 1.2, params) == pytest.approx(
+            optimal_asymptotic_variance(params), rel=1e-12)
 
     def test_one_stage_far_guess(self):
         params = privacy_params(1.0)
-        value = theoretical_reference("one", 0.0, 4.0, params)
+        value = one_stage_asymptotic_variance(0.0, 4.0, params)
         assert math.isfinite(value) and value > 1e3
 
     def test_one_stage_guess_past_density_underflow(self):
         # pdf(84.5)^2 underflows to 0: the fig2 guess/true-mean distance
-        value = theoretical_reference("one", 84.5, 0.0, privacy_params(1.0))
+        value = one_stage_asymptotic_variance(84.5, 0.0, privacy_params(1.0))
         assert value == math.inf
 
-    def test_two_kind_and_sigma(self):
+    def test_sigma_scaling(self):
         params = privacy_params(1.0)
-        assert theoretical_reference("two", 0.0, 0.0, params, sigma=2.0) == pytest.approx(
-            4.0 * optimal_asymptotic_variance(params, 1.0), rel=1e-12)
-        assert theoretical_reference("one", 2.0, 3.0, params, sigma=2.0) == pytest.approx(
-            4.0 * one_stage_asymptotic_variance(1.0, 1.5, params), rel=1e-12)
+        assert optimal_asymptotic_variance(params, 2.0) == pytest.approx(
+            4.0 * optimal_asymptotic_variance(params), rel=1e-12)
+        # sigma^2 times the unit-scale value at the scaled arguments, in that order
+        for theta, theta0, sigma in [(2.0, 3.0, 2.0), (0.3, -1.1, 3.0), (5.0, 4.2, 0.7)]:
+            assert one_stage_asymptotic_variance(theta, theta0, params, sigma) == (
+                sigma * sigma * one_stage_asymptotic_variance(theta / sigma, theta0 / sigma,
+                                                              params))
 
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            theoretical_reference("three", 0.0, 0.0, privacy_params(1.0))
+    def test_square_of_sigma_underflows(self):
+        # sigma^2 underflows to 0: the variances are 0 (or inf past the density
+        # underflow), never a ZeroDivisionError or NaN
+        params = privacy_params(1.0)
+        assert optimal_asymptotic_variance(params, 1e-170) == 0.0
+        assert one_stage_asymptotic_variance(0.0, 0.0, params, 1e-200) == 0.0
+        assert one_stage_asymptotic_variance(0.0, 1e-197, params, 1e-200) == math.inf
 
 
 class TestValidation:
