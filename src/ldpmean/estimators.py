@@ -225,11 +225,16 @@ def rescaled_estimate(data, sigma: float, config: EstimatorConfig,
 
     Runs the unit-variance procedure on data / sigma with the guess
     theta0 / sigma and scales the resulting estimates back by sigma.
-    With sigma = 1 this reproduces ``two_stage`` bit for bit.
+    With sigma = 1 this reproduces ``two_stage`` bit for bit.  Data or a
+    guess whose quotient by sigma overflows float64 is a ValueError.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    scaled = np.asarray(data, dtype=float) / sigma
+    data = np.asarray(data, dtype=float)
+    largest = float(np.max(np.abs(data), initial=abs(config.theta0)))
+    if not math.isfinite(largest / sigma):
+        raise ValueError(f"data / sigma or theta0 / sigma overflows at sigma={sigma!r}")
+    scaled = data / sigma
     inner = two_stage(scaled, replace(config, theta0=config.theta0 / sigma), rng)
     return EstimateResult(
         theta_hat=sigma * inner.theta_hat,

@@ -58,10 +58,15 @@ class StaircaseLp:
 
 @dataclass(frozen=True)
 class PrimalSolution:
-    """Column weights alpha (length 2^k) and their objective value."""
+    """Column weights alpha (length 2^k) and their objective value.
+
+    ``pivots`` holds the simplex's (phase-1, phase-2) pivot counts; a
+    point built in closed form took none.
+    """
 
     alpha: np.ndarray
     value: float
+    pivots: tuple[int, int] = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -133,22 +138,29 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
                  tol: float = 1e-9, max_iter: int = 100_000):
     """Maximize c @ x subject to A x = b, x >= 0, with b >= 0.
 
-    Dense two-phase tableau simplex using Bland's rule for both the
-    entering and the leaving variable, which rules out cycling on the
-    (heavily degenerate) staircase programs.  Returns (x, value).
+    Dense two-phase tableau simplex.  The entering column is the
+    nonbasic one with the largest reduced cost (Dantzig's rule).  Ties in
+    the min-ratio test are broken lexicographically: among the tied rows
+    the leaving one has the smallest row of B^-1 (the tableau's
+    artificial columns) divided by its pivot entry.  That rule keeps
+    every row of [b | B^-1] lexicographically positive, as the all-
+    artificial start [b | I] is, so no basis repeats: the heavily
+    degenerate staircase programs cannot cycle.  (The pivots that drive
+    degenerate artificials out between the phases stand outside that
+    argument.)  Returns (x, value, (phase-1 pivots, phase-2 pivots));
+    phase 1 counts those drive-out pivots.
     """
     m, n = A.shape
     T = np.hstack([A, np.eye(m), b.reshape(-1, 1)]).astype(float)
     basis = np.arange(n, n + m)
 
-    def iterate(costs: np.ndarray, n_allowed: int) -> None:
-        for _ in range(max_iter):
+    def iterate(costs: np.ndarray, n_allowed: int) -> int:
+        for pivots in range(max_iter):
             reduced = costs[:n_allowed] - costs[basis] @ T[:, :n_allowed]
-            improving = reduced > tol
-            improving[basis[basis < n_allowed]] = False
-            if not improving.any():
-                return
-            entering = int(np.argmax(improving))  # Bland: lowest improving nonbasic index
+            reduced[basis[basis < n_allowed]] = 0.0
+            entering = int(np.argmax(reduced))
+            if not reduced[entering] > tol:
+                return pivots
             col = T[:, entering]
             rows = np.where(col > tol)[0]
             if rows.size == 0:
@@ -156,7 +168,8 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
             ratios = T[rows, -1] / col[rows]
             best = ratios.min()
             cand = rows[ratios <= best + tol * (1.0 + abs(best))]
-            leave_row = cand[np.argmin(basis[cand])]
+            lex = T[cand, n:n + m] / col[cand, None]
+            leave_row = cand[np.lexsort(lex.T[::-1])[0]]
             pivot(leave_row, entering)
         raise RuntimeError("simplex iteration limit exceeded")
 
@@ -169,7 +182,7 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
 
     # Phase 1: drive the artificial variables out.
     phase1 = np.concatenate([np.zeros(n), -np.ones(m)])
-    iterate(phase1, n + m)
+    phase1_pivots = iterate(phase1, n + m)
     if -float(phase1[basis] @ T[:, -1]) > math.sqrt(tol):
         raise RuntimeError("phase-1 simplex reports infeasibility on a feasible program")
     for i in range(m):
@@ -181,17 +194,18 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
             structural = np.where(np.abs(T[i, :n]) > tol)[0]
             if structural.size:
                 pivot(i, int(structural[0]))
+                phase1_pivots += 1
 
     # Phase 2 on the original objective, artificials barred from entering.
     phase2 = np.concatenate([c, np.zeros(m)])
-    iterate(phase2, n)
+    phase2_pivots = iterate(phase2, n)
 
     x = np.zeros(n)
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = T[i, -1]
     np.maximum(x, 0.0, out=x)  # scrub -1e-17 style pivot noise
-    return x, float(c @ x)
+    return x, float(c @ x), (phase1_pivots, phase2_pivots)
 
 
 def solve_primal(lp: StaircaseLp) -> PrimalSolution:
@@ -200,8 +214,8 @@ def solve_primal(lp: StaircaseLp) -> PrimalSolution:
     The result is a vertex, hence carries at most k strictly positive
     weights.
     """
-    alpha, value = _simplex_max(lp.S, np.ones(lp.k), lp.mu_vec)
-    return PrimalSolution(alpha=alpha, value=value)
+    alpha, value, pivots = _simplex_max(lp.S, np.ones(lp.k), lp.mu_vec)
+    return PrimalSolution(alpha=alpha, value=value, pivots=pivots)
 
 
 def sign_candidate(lp: StaircaseLp) -> PrimalSolution:
@@ -395,5 +409,6 @@ def equality_chain(k: int, params: PrivacyParams, tol: float = 1e-8) -> dict:
         "feasible": sweep.feasible,
         "worst_slack": sweep.worst_slack,
         "worst_column": sweep.worst_column,
+        "simplex_pivots": list(primal.pivots),
         "chain_holds": holds,
     }

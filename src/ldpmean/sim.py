@@ -39,6 +39,7 @@ from .mechanisms import privacy_params
 ESTIMATOR_KINDS = ("one", "two", "three")
 SWEEP_NAMES = ("n1", "theta0", "n")
 _BOOTSTRAP_BLOCK = 64  # resamples drawn per index matrix
+_STAGE_REACH = 77.0  # sigmas two stages can move an estimate from its first center
 
 # numpy's SeedSequence hash (4-word pool) and PCG64 seeding, for _replicate_states
 _POOL = 4
@@ -172,12 +173,37 @@ def _validate(config: ExperimentConfig) -> None:
     for value in config.sweep_values:
         if config.sweep_name != "theta0" and not float(value).is_integer():
             raise ValueError(f"{config.sweep_name} sweep values must be integers, got {value!r}")
-        n, _, est_cfg = _point_setup(config, value)
+        n, theta_n, est_cfg = _point_setup(config, value)
         _check_pilot(config.kind, n, est_cfg)
+        _check_overflow(config, n, theta_n, est_cfg)
         total += n * config.replicates
     if total > config.max_total_draws:
         raise BudgetError(
             f"run would draw {total} samples, over the budget of {config.max_total_draws}")
+
+
+def _check_overflow(config: ExperimentConfig, n: int, theta_n: float,
+                    est_cfg: EstimatorConfig) -> None:
+    """Reject a point whose scaled means or squared errors would overflow float64.
+
+    A stage moves its center by at most ``_STAGE_REACH`` / 2 sigmas, since
+    |Phi^-1(p)| <= 38.47 for every double p in (0, 1).  So an estimate
+    lies within ``_STAGE_REACH`` sigmas of its first center: theta0, or
+    for the three-stage estimator a point of [range_lo, range_hi].  The
+    scaled MSE sums ``replicates`` squared errors and multiplies their
+    mean by n; both must stay finite.
+    """
+    sigma = config.sigma
+    if not (math.isfinite(theta_n / sigma) and math.isfinite(est_cfg.theta0 / sigma)):
+        raise ValueError(f"theta / sigma or theta0 / sigma overflows at n = {n}")
+    if config.kind == "three":
+        far = max(abs(theta_n - est_cfg.range_lo), abs(theta_n - est_cfg.range_hi))
+    else:
+        far = abs(theta_n - est_cfg.theta0)
+    reach = far + _STAGE_REACH * sigma
+    if not math.isfinite(max(n, config.replicates) * reach * reach):
+        raise ValueError(f"squared errors overflow at n = {n}: theta is {far!r} "
+                         "from where the estimator starts")
 
 
 def _point_setup(config: ExperimentConfig, value: float):

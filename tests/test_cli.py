@@ -142,7 +142,10 @@ class TestLpVerify:
         assert payload["primal_value"] == pytest.approx(payload["dual_value"], abs=1e-8)
         assert payload["primal_value"] == pytest.approx(0.1359515956, abs=1e-8)
         assert set(payload) == {"k", "epsilon", "primal_value", "candidate_value",
-                                "dual_value", "feasible", "worst_slack", "worst_column"}
+                                "dual_value", "feasible", "worst_slack", "worst_column",
+                                "simplex_pivots"}
+        phase1, phase2 = payload["simplex_pivots"]
+        assert phase1 >= 1 and phase2 >= 1
 
     def test_certificate_fails_at_large_budget(self, capsys):
         code, out, _ = run_cli(capsys, "lp-verify", "--k", "8", "--epsilon", "3")
@@ -398,6 +401,36 @@ class TestSimulate:
         assert "overflows" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("body", [
+        # theta / sigma and theta0 / sigma overflow: their difference would be NaN
+        "kind = two\ntheta_true = 1e200\ntheta0 = 1e200\nsigma = 1e-200\nn = 1500\n"
+        "replicates = 60\n",
+        # one stage clamps at theta0 = 0: each error is 1e200 and its square overflows
+        "kind = one\ntheta_true = 1e200\nn = 1500\nreplicates = 60\n",
+        # the three-stage estimator starts inside [range_lo, range_hi] = [0, 128]
+        "kind = three\ntheta_true = -1e200\nn = 16000\nreplicates = 60\n",
+        # n * (1e152)^2 is finite, but the sum of 10^6 squared errors is not
+        "kind = one\ntheta_true = 1e152\nn = 2\nreplicates = 1000000\n",
+    ])
+    def test_overflowing_error_is_usage_error_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch, body):
+        monkeypatch.setattr(sim, "_run_block", _no_work)
+        text = "epsilon = 1.0\nsweep = n1\nsweep_values = 1\n" + body
+        code, err, out = simulate_text(capsys, tmp_path, text)
+        assert_one_line_usage_error(code, err)
+        assert "overflow" in err
+        assert not out.exists()
+
+    def test_far_but_finite_error_runs(self, tmp_path, capsys):
+        # a squared error of 1e200 times n = 1500 stays finite, so the run goes ahead
+        text = SMALL_CFG.replace("kind = two", "kind = one").replace(
+            "theta_true = 0.0", "theta_true = 1e100").replace("sweep = n1", "sweep = n").replace(
+            "sweep_values = 40,80", "sweep_values = 1500")
+        code, err, out = simulate_text(capsys, tmp_path, text, "--replicates", "4")
+        assert code == EXIT_OK, err
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[4:7] == ["1.5e+203"] * 3  # every estimate clamps at theta0 = 0
+
     def test_unallocatable_draw_is_budget_error(self, tmp_path, capsys):
         # 8e15 bytes per replicate: beyond any address space, so the allocation fails at once
         text = SMALL_CFG.replace("kind = two", "kind = one").replace(
@@ -530,6 +563,14 @@ class TestEstimate:
         code, _, _ = run_cli(capsys, "estimate", "--epsilon", "1", "--seed", "1",
                              "--synthetic")
         assert code == EXIT_USAGE
+
+    def test_overflowing_scaled_guess_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--epsilon", "1", "--seed", "1",
+                                 "--synthetic", "--n", "1000", "--theta", "1e200",
+                                 "--theta0", "1e200", "--sigma", "1e-200")
+        assert_one_line_usage_error(code, err)
+        assert out == ""
+        assert "overflows" in err
 
     def test_sigma_limited_to_two_stage(self, capsys):
         code, _, _ = run_cli(capsys, "estimate", "--kind", "three", "--epsilon", "1",

@@ -147,6 +147,49 @@ class TestSolvePrimal:
         with pytest.raises(ValueError):
             build_staircase_lp(14, privacy_params(1.0))
 
+    @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12])
+    def test_against_highs(self, k):
+        # independent oracle: HiGHS shares no code with the tableau simplex;
+        # from about eps = 2 the optimum exceeds the sign mechanism's value
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        for eps in (0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.8):
+            lp = build_staircase_lp(k, privacy_params(eps))
+            ref = linprog(-lp.mu_vec, A_eq=lp.S, b_eq=np.ones(k), bounds=(0, None),
+                          method="highs")
+            assert ref.status == 0
+            assert solve_primal(lp).value == pytest.approx(-ref.fun, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0])
+    def test_pivot_budget_at_top_level(self, eps):
+        # Bland's lowest-index entering rule needs 362 to 1035 phase-2 pivots here
+        sol = solve_primal(build_staircase_lp(12, privacy_params(eps)))
+        phase1, phase2 = sol.pivots
+        assert phase1 <= 12
+        assert 1 <= phase2 <= 3 * 12
+
+
+# Beale (1955): max 3/4 x4 - 20 x5 + 1/2 x6 - 6 x7 over three slack rows;
+# the optimum is 5/4 at x4 = x6 = 1 (columns: slacks x1..x3, then x4..x7).
+BEALE_A = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                    [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                    [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+BEALE_B = np.array([0.0, 0.0, 1.0])
+BEALE_C = np.array([0.0, 0.0, 0.0, 0.75, -20.0, 0.5, -6.0])
+
+
+class TestAntiCycling:
+    @pytest.mark.parametrize("rows", [[0, 1, 2], [1, 0, 2]])
+    def test_beale_reaches_optimum(self, rows):
+        # With the two degenerate rows swapped, phase 1 ends at the basis
+        # {x7, x5, x3} and a min-ratio tie broken by the lowest basic index
+        # then cycles through six bases forever; the lexicographic rule
+        # leaves the cycle.
+        x, value, (_, phase2) = lp_module._simplex_max(BEALE_A[rows], BEALE_B[rows], BEALE_C,
+                                                        max_iter=1000)
+        assert value == pytest.approx(1.25, abs=1e-12)
+        assert np.allclose(x, [0.75, 0, 0, 1, 0, 1, 0], atol=1e-12)
+        assert phase2 <= 10
+
 
 class TestSignCandidate:
     def test_level_two_support(self):
