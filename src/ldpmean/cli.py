@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .estimators import EstimatorConfig, optimal_asymptotic_variance
-from .lp import equality_chain
+from .lp import CHAIN_TOL, MAX_SOLVE_K, equality_chain
 from .mechanisms import privacy_params
 from .quantized import build_quantized_model, embed_sign_channel, fisher_info_quantized, sign_fisher_info
 from .sim import (ESTIMATOR_KINDS, BudgetError, ExperimentConfig, estimate, results_to_csv,
@@ -260,7 +260,7 @@ def _cmd_estimate(args) -> int:
         raise ValueError("data values must be finite")
     cfg = EstimatorConfig(**{f.name: getattr(args, f.name)
                              for f in dataclasses.fields(EstimatorConfig)})
-    result = estimate(args.kind, data, cfg, args.sigma, rng)
+    result = estimate(args.kind, data, cfg, rng)
     _emit({
         "theta_hat": result.theta_hat,
         "stages": list(result.stage_estimates),
@@ -285,9 +285,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fisher)
 
     p = sub.add_parser("lp-verify", help="solve the staircase program and check the certificate")
-    p.add_argument("--k", type=int, required=True, help="even quantizer level, 2..12")
+    p.add_argument("--k", type=int, required=True,
+                   help=f"even quantizer level, 2..{MAX_SOLVE_K}")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=CHAIN_TOL)
     p.set_defaults(func=_cmd_lp_verify)
 
     p = sub.add_parser("simulate", help="run a Monte Carlo config, write CSV + manifest")
@@ -301,7 +302,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="estimate from a data file or synthetic draws")
     p.add_argument("--kind", choices=ESTIMATOR_KINDS, default="two")
-    for key in [f.name for f in dataclasses.fields(EstimatorConfig)] + ["sigma"]:
+    for key in (f.name for f in dataclasses.fields(EstimatorConfig)):
         default = _CONFIG_FIELDS[key].default
         p.add_argument("--" + key.replace("_", "-"), type=_converter(key),
                        required=default is dataclasses.MISSING, default=default)

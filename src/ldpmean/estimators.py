@@ -34,7 +34,10 @@ class EstimatorConfig:
 
     n1 is the pilot group size for the two- and three-stage procedures
     (None selects the floor(n^0.7) heuristic); n0 and bits configure the
-    three-stage bisection over [range_lo, range_hi].
+    three-stage bisection over [range_lo, range_hi].  sigma is the known
+    standard deviation of the data: every stage inverts its mean bit in
+    data units (``invert_mean``), so theta0 and the range are data units
+    too.  A sigma that is not finite and positive is a ValueError.
     """
 
     epsilon: float
@@ -44,6 +47,11 @@ class EstimatorConfig:
     bits: int = 7
     range_lo: float = 0.0
     range_hi: float = 128.0
+    sigma: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be > 0 and finite, got {self.sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -93,20 +101,22 @@ def three_stage_pilot(n: int, config: EstimatorConfig) -> int:
     return n1
 
 
-def invert_mean(z_bar: float, center: float, params: PrivacyParams) -> float:
-    """Invert the expected released bit around ``center``.
+def invert_mean(z_bar: float, center: float, params: PrivacyParams,
+                sigma: float = 1.0) -> float:
+    """Invert the expected released bit around ``center`` for data of scale ``sigma``.
 
-    Returns center - quantile(1/2 - z_bar / (2 t_eps)) when |z_bar| <
-    t_eps and the center itself otherwise; the guard keeps the quantile
-    argument strictly inside (0, 1), so the map is total.
+    Returns center - sigma * quantile(1/2 - z_bar / (2 t_eps)) when
+    |z_bar| < t_eps and the center itself otherwise; the guard keeps the
+    quantile argument strictly inside (0, 1), so the map is total.  At
+    sigma = 1 the product is the quantile itself, bit for bit.
     """
     t = params.t_eps
     if abs(z_bar) < t:
-        return center - std_normal_quantile(0.5 - z_bar / (2.0 * t))
+        return center - sigma * std_normal_quantile(0.5 - z_bar / (2.0 * t))
     return center
 
 
-def _stage(data: np.ndarray, center: float, params: PrivacyParams,
+def _stage(data: np.ndarray, center: float, params: PrivacyParams, sigma: float,
            rng: np.random.Generator) -> tuple[float, bool]:
     """Sanitize one group at ``center`` and invert its mean bit.
 
@@ -115,7 +125,7 @@ def _stage(data: np.ndarray, center: float, params: PrivacyParams,
     """
     z_bar = released_bit_sum(data, center, params, rng) / data.size
     clamped = not abs(z_bar) < params.t_eps
-    return invert_mean(z_bar, center, params), clamped
+    return invert_mean(z_bar, center, params, sigma), clamped
 
 
 def one_stage(data, config: EstimatorConfig,
@@ -124,7 +134,8 @@ def one_stage(data, config: EstimatorConfig,
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ValueError("one_stage requires at least one sample")
-    est, clamped = _stage(data, config.theta0, privacy_params(config.epsilon), rng)
+    est, clamped = _stage(data, config.theta0, privacy_params(config.epsilon),
+                          config.sigma, rng)
     return EstimateResult(theta_hat=est, stage_estimates=(est,), clamped=(clamped,))
 
 
@@ -139,8 +150,8 @@ def two_stage(data, config: EstimatorConfig,
     data = np.asarray(data, dtype=float)
     n1 = two_stage_pilot(data.size, config)
     params = privacy_params(config.epsilon)
-    pilot, clamped1 = _stage(data[:n1], config.theta0, params, rng)
-    final, clamped2 = _stage(data[n1:], pilot, params, rng)
+    pilot, clamped1 = _stage(data[:n1], config.theta0, params, config.sigma, rng)
+    final, clamped2 = _stage(data[n1:], pilot, params, config.sigma, rng)
     return EstimateResult(theta_hat=final,
                           stage_estimates=(pilot, final),
                           clamped=(clamped1, clamped2))
@@ -166,13 +177,13 @@ def three_stage(data, config: EstimatorConfig,
     group = n0 // rounds
     lo, hi = config.range_lo, config.range_hi
     for b in range(rounds):
-        mid = (lo + hi) / 2.0
+        mid = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 would overflow near the largest double
         chunk = data[b * group:(b + 1) * group]
         if released_bit_sum(chunk, mid, params, rng) >= 0:
             lo = mid
         else:
             hi = mid
-    prelim = (lo + hi) / 2.0
+    prelim = lo / 2.0 + hi / 2.0
 
     tail = two_stage(data[n0:], replace(config, theta0=prelim, n1=n1), rng)
     return EstimateResult(theta_hat=tail.theta_hat,
@@ -184,20 +195,18 @@ def one_stage_asymptotic_variance(theta: float, theta0: float,
                                   params: PrivacyParams, sigma: float = 1.0) -> float:
     """Delta-method variance of the one-stage estimator for known scale ``sigma``.
 
-    sigma^2 times the unit-scale variance at (theta / sigma, theta0 /
-    sigma), which is (1/4) (1/t_eps)^2 * (1 - t_eps^2 (1 - 2 Phi(theta0 -
-    theta))^2) / pdf(theta - theta0)^2.  Matches the optimal variance at
+    sigma^2 times the unit-scale variance at the scaled distance d =
+    (theta - theta0) / sigma, which is (1/4) (1/t_eps)^2 * (1 - t_eps^2
+    (1 - 2 Phi(-d))^2) / pdf(d)^2.  Matches the optimal variance at
     theta0 = theta and deteriorates exponentially as the guess drifts;
-    depends on the arguments only through |theta - theta0| / sigma.
-    Infinite at t_eps = 0 and once pdf(.)^2 underflows to 0 (a scaled
-    distance above about 27.3).
+    depends on the arguments only through |d|.  Infinite at t_eps = 0
+    and once pdf(d)^2 underflows to 0 (|d| above about 27.3).
     """
-    theta, theta0 = theta / sigma, theta0 / sigma
     t = params.t_eps
     if t == 0.0:
         return math.inf
-    d = theta - theta0
-    bias_factor = 1.0 - 2.0 * std_normal_cdf(theta0 - theta)
+    d = (theta - theta0) / sigma
+    bias_factor = 1.0 - 2.0 * std_normal_cdf(-d)
     num = 1.0 - t * t * bias_factor * bias_factor
     den = std_normal_pdf(d) ** 2
     if den == 0.0:
@@ -221,23 +230,5 @@ def optimal_asymptotic_variance(params: PrivacyParams, sigma: float = 1.0) -> fl
 
 def rescaled_estimate(data, sigma: float, config: EstimatorConfig,
                       rng: np.random.Generator) -> EstimateResult:
-    """Two-stage estimation for a known scale ``sigma``.
-
-    Runs the unit-variance procedure on data / sigma with the guess
-    theta0 / sigma and scales the resulting estimates back by sigma.
-    With sigma = 1 this reproduces ``two_stage`` bit for bit.  Data or a
-    guess whose quotient by sigma overflows float64 is a ValueError.
-    """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    data = np.asarray(data, dtype=float)
-    largest = float(np.max(np.abs(data), initial=abs(config.theta0)))
-    if not math.isfinite(largest / sigma):
-        raise ValueError(f"data / sigma or theta0 / sigma overflows at sigma={sigma!r}")
-    scaled = data / sigma
-    inner = two_stage(scaled, replace(config, theta0=config.theta0 / sigma), rng)
-    return EstimateResult(
-        theta_hat=sigma * inner.theta_hat,
-        stage_estimates=tuple(sigma * s for s in inner.stage_estimates),
-        clamped=inner.clamped,
-    )
+    """Two-stage estimation for a known scale ``sigma``: ``two_stage`` with that config.sigma."""
+    return two_stage(data, replace(config, sigma=sigma), rng)

@@ -43,6 +43,7 @@ from .quantized import (QuantizedModel, build_quantized_model, row_information,
 MAX_SOLVE_K = 12          # dense simplex over the materialized 2^k columns
 _SWEEP_BLOCK = 1 << 18    # corner slacks evaluated per block of the sweep grid
 _SWEEP_TOL = 1e-9         # slack a feasible certificate may fall below zero
+CHAIN_TOL = 1e-8          # absolute gap the equality chain allows each value
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,10 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     """Maximize c @ x subject to A x = b, x >= 0, with b >= 0.
 
     Dense two-phase tableau simplex.  The entering column is the
-    nonbasic one with the largest reduced cost (Dantzig's rule).  Ties in
+    nonbasic one with the largest reduced cost (Dantzig's rule), if that
+    cost exceeds ``tol`` times the phase's largest |cost|: the staircase
+    objective shrinks like eps^2, so an absolute threshold would stop
+    phase 2 at its first vertex for small budgets.  Ties in
     the min-ratio test are broken lexicographically: among the tied rows
     the leaving one has the smallest row of B^-1 (the tableau's
     artificial columns) divided by its pivot entry.  That rule keeps
@@ -155,11 +159,12 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     basis = np.arange(n, n + m)
 
     def iterate(costs: np.ndarray, n_allowed: int) -> int:
+        cost_tol = tol * float(np.abs(costs).max())
         for pivots in range(max_iter):
             reduced = costs[:n_allowed] - costs[basis] @ T[:, :n_allowed]
             reduced[basis[basis < n_allowed]] = 0.0
             entering = int(np.argmax(reduced))
-            if not reduced[entering] > tol:
+            if not reduced[entering] > cost_tol:
                 return pivots
             col = T[:, entering]
             rows = np.where(col > tol)[0]
@@ -380,7 +385,7 @@ def interior_stationarity(a, b, t):
     return val
 
 
-def equality_chain(k: int, params: PrivacyParams, tol: float = 1e-8) -> dict:
+def equality_chain(k: int, params: PrivacyParams, tol: float = CHAIN_TOL) -> dict:
     """Run build -> solve -> candidate -> certificate -> sweep and report.
 
     The chain holds when the candidate value, the primal optimum and the

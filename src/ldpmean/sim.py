@@ -28,12 +28,13 @@ from .estimators import (
     one_stage,
     one_stage_asymptotic_variance,
     optimal_asymptotic_variance,
-    rescaled_estimate,
     three_stage,
     three_stage_pilot,
     two_stage,
     two_stage_pilot,
 )
+# Not called here: perfbench/layertrace.py rebinds sim.rescaled_estimate.
+from .estimators import rescaled_estimate  # noqa: F401
 from .mechanisms import privacy_params
 
 ESTIMATOR_KINDS = ("one", "two", "three")
@@ -81,7 +82,7 @@ class ExperimentConfig:
     bits: int = EstimatorConfig.bits
     range_lo: float = EstimatorConfig.range_lo
     range_hi: float = EstimatorConfig.range_hi
-    sigma: float = 1.0
+    sigma: float = EstimatorConfig.sigma
     replicates: int
     sweep_name: str = field(metadata={"key": "sweep"})
     sweep_values: tuple[float, ...]
@@ -116,24 +117,19 @@ CSV_HEADER = ",".join(["sweep_name", *(f.name for f in fields(MseResult))])
 _CSV_FORMATS = [(f.name, str if f.type == "int" else _fmt) for f in fields(MseResult)]
 
 
-def _check_kind(kind: str, sigma: float) -> None:
-    """Only the two-stage estimator has a known-scale path (``rescaled_estimate``)."""
+def _check_kind(kind: str) -> None:
     if kind not in ESTIMATOR_KINDS:
         raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
-    if sigma != 1.0 and kind != "two":
-        raise ValueError("sigma != 1 is supported for the two-stage estimator only")
 
 
-def estimate(kind: str, data, cfg: EstimatorConfig, sigma: float,
+def estimate(kind: str, data, cfg: EstimatorConfig,
              rng: np.random.Generator) -> EstimateResult:
-    """Run the ``kind`` estimator on data of known scale ``sigma``."""
-    _check_kind(kind, sigma)
+    """Run the ``kind`` estimator on data of known scale ``cfg.sigma``."""
+    _check_kind(kind)
     if kind == "one":
         return one_stage(data, cfg, rng)
     if kind == "three":
         return three_stage(data, cfg, rng)
-    if sigma != 1.0:
-        return rescaled_estimate(data, sigma, cfg, rng)
     return two_stage(data, cfg, rng)
 
 
@@ -158,13 +154,11 @@ def synthetic_sample(n: int, theta: float, sigma: float,
 
 def _validate(config: ExperimentConfig) -> None:
     """Reject a config that would fail at any sweep point, before any work."""
-    _check_kind(config.kind, config.sigma)
+    _check_kind(config.kind)
     if config.sweep_name not in SWEEP_NAMES:
         raise ValueError(f"sweep must be one of {SWEEP_NAMES}, got {config.sweep_name!r}")
     if not config.sweep_values:
         raise ValueError("sweep_values must be non-empty")
-    if not config.sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {config.sigma!r}")
     if not 2 <= config.replicates <= 2 ** 32:  # r is one SeedSequence word
         raise ValueError(f"replicates must be in [2, 2**32], got {config.replicates}")
     if not 0 <= config.master_seed < 2 ** 64:
@@ -184,7 +178,7 @@ def _validate(config: ExperimentConfig) -> None:
 
 def _check_overflow(config: ExperimentConfig, n: int, theta_n: float,
                     est_cfg: EstimatorConfig) -> None:
-    """Reject a point whose scaled means or squared errors would overflow float64.
+    """Reject a point whose squared errors would overflow float64.
 
     A stage moves its center by at most ``_STAGE_REACH`` / 2 sigmas, since
     |Phi^-1(p)| <= 38.47 for every double p in (0, 1).  So an estimate
@@ -193,14 +187,11 @@ def _check_overflow(config: ExperimentConfig, n: int, theta_n: float,
     scaled MSE sums ``replicates`` squared errors and multiplies their
     mean by n; both must stay finite.
     """
-    sigma = config.sigma
-    if not (math.isfinite(theta_n / sigma) and math.isfinite(est_cfg.theta0 / sigma)):
-        raise ValueError(f"theta / sigma or theta0 / sigma overflows at n = {n}")
     if config.kind == "three":
         far = max(abs(theta_n - est_cfg.range_lo), abs(theta_n - est_cfg.range_hi))
     else:
         far = abs(theta_n - est_cfg.theta0)
-    reach = far + _STAGE_REACH * sigma
+    reach = far + _STAGE_REACH * config.sigma
     if not math.isfinite(max(n, config.replicates) * reach * reach):
         raise ValueError(f"squared errors overflow at n = {n}: theta is {far!r} "
                          "from where the estimator starts")
@@ -298,7 +289,7 @@ def _run_block(config: ExperimentConfig, sweep_index: int,
     for i, state in enumerate(_replicate_states(config.master_seed, sweep_index, r_lo, r_hi)):
         bitgen.state = state
         data = synthetic_sample(n, theta_n, config.sigma, rng)
-        result = estimate(config.kind, data, est_cfg, config.sigma, rng)
+        result = estimate(config.kind, data, est_cfg, rng)
         errors[i] = result.theta_hat - theta_n
         clamps[i] = any(result.clamped)
     return r_lo, errors, clamps

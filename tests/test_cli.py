@@ -401,10 +401,18 @@ class TestSimulate:
         assert "overflows" in err
         assert not out.exists()
 
+    def test_tiny_sigma_far_from_zero_runs(self, tmp_path, capsys):
+        # theta / sigma and theta0 / sigma would overflow; no estimator forms them
+        text = ("epsilon = 1.0\nsweep = n1\nsweep_values = 1\nkind = two\n"
+                "theta_true = 1e200\ntheta0 = 1e200\nsigma = 1e-200\nn = 1500\n"
+                "replicates = 60\n")
+        code, err, out = simulate_text(capsys, tmp_path, text)
+        assert code == EXIT_OK, err
+        assert err == ""
+        row = out.read_text().splitlines()[1].split(",")
+        assert all(math.isfinite(float(cell)) for cell in row[1:])
+
     @pytest.mark.parametrize("body", [
-        # theta / sigma and theta0 / sigma overflow: their difference would be NaN
-        "kind = two\ntheta_true = 1e200\ntheta0 = 1e200\nsigma = 1e-200\nn = 1500\n"
-        "replicates = 60\n",
         # one stage clamps at theta0 = 0: each error is 1e200 and its square overflows
         "kind = one\ntheta_true = 1e200\nn = 1500\nreplicates = 60\n",
         # the three-stage estimator starts inside [range_lo, range_hi] = [0, 128]
@@ -564,19 +572,35 @@ class TestEstimate:
                              "--synthetic")
         assert code == EXIT_USAGE
 
-    def test_overflowing_scaled_guess_is_usage_error(self, capsys):
+    def test_tiny_sigma_far_from_zero_is_finite(self, capsys):
+        # theta0 / sigma would overflow; each stage inverts in data units instead
         code, out, err = run_cli(capsys, "estimate", "--epsilon", "1", "--seed", "1",
                                  "--synthetic", "--n", "1000", "--theta", "1e200",
                                  "--theta0", "1e200", "--sigma", "1e-200")
-        assert_one_line_usage_error(code, err)
-        assert out == ""
-        assert "overflows" in err
+        assert code == EXIT_OK, err
+        payload = json.loads(out)
+        assert payload["theta_hat"] == 1e200
+        assert all(math.isfinite(s) for s in payload["stages"])
 
-    def test_sigma_limited_to_two_stage(self, capsys):
-        code, _, _ = run_cli(capsys, "estimate", "--kind", "three", "--epsilon", "1",
-                             "--seed", "1", "--synthetic", "--theta", "1", "--n", "30000",
-                             "--sigma", "2")
-        assert code == EXIT_USAGE
+    def test_sigma_for_every_kind(self, capsys):
+        for kind in ("one", "three"):
+            code, out, err = run_cli(capsys, "estimate", "--kind", kind, "--epsilon", "1",
+                                     "--seed", "1", "--synthetic", "--theta", "1",
+                                     "--n", "30000", "--sigma", "2")
+            assert code == EXIT_OK, err
+            # sd of the estimate is about sqrt(4 * 7.4 / 15000) = 0.044 or less
+            assert abs(json.loads(out)["theta_hat"] - 1.0) < 0.3
+
+    def test_bisection_near_the_largest_double(self, capsys):
+        # (lo + hi) / 2 would overflow to inf at every midpoint
+        code, out, err = run_cli(capsys, "estimate", "--kind", "three", "--epsilon", "1",
+                                 "--seed", "1", "--synthetic", "--n", "30000",
+                                 "--theta", "1.5e308", "--range-lo", "1e308",
+                                 "--range-hi", "1.7e308")
+        assert code == EXIT_OK, err
+        payload = json.loads(out)
+        assert abs(payload["theta_hat"] - 1.5e308) < 1e305
+        assert all(math.isfinite(s) for s in payload["stages"])
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_data_line_is_usage_error(self, tmp_path, capsys, bad):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -376,6 +377,33 @@ class TestRescaledEstimate:
         cfg = EstimatorConfig(epsilon=1.0, n1=10)
         with pytest.raises(ValueError):
             rescaled_estimate(np.zeros(100), 0.0, cfg, np.random.default_rng(0))
+
+
+class TestKnownScale:
+    @pytest.mark.parametrize("eps, guess, lo, hi", [
+        pytest.param(1.0, 0.5, -3.0, 5.0, id="near"),
+        # noiseless bits all point one way: the first stage must clamp
+        pytest.param(math.inf, 40.0, 40.0, 48.0, id="far"),
+    ])
+    @pytest.mark.parametrize("estimator", [one_stage, two_stage, three_stage])
+    def test_exact_for_power_of_two(self, estimator, eps, guess, lo, hi):
+        # doubling the data, the guess, the range and sigma doubles every stage exactly
+        unit = EstimatorConfig(epsilon=eps, theta0=guess, n1=150, n0=800, bits=5,
+                               range_lo=lo, range_hi=hi)
+        doubled = replace(unit, theta0=2.0 * guess, range_lo=2.0 * lo, range_hi=2.0 * hi,
+                          sigma=2.0)
+        data = np.random.default_rng(26).standard_normal(4000) + 0.8
+        base = estimator(data, unit, np.random.default_rng(27))
+        scaled = estimator(2.0 * data, doubled, np.random.default_rng(27))
+        assert scaled.theta_hat == 2.0 * base.theta_hat
+        assert scaled.stage_estimates == tuple(2.0 * s for s in base.stage_estimates)
+        assert scaled.clamped == base.clamped
+        assert any(base.clamped) == (guess == 40.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, -2.0, math.nan, math.inf])
+    def test_config_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be > 0"):
+            EstimatorConfig(epsilon=1.0, sigma=sigma)
 
 
 class TestOptimalVariance:

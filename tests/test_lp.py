@@ -167,6 +167,14 @@ class TestSolvePrimal:
         assert phase1 <= 12
         assert 1 <= phase2 <= 3 * 12
 
+    @pytest.mark.parametrize("k", [2, 8, 12])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6, 1e-8])
+    def test_small_budgets_reach_the_optimum(self, k, eps):
+        # the objective is about eps^2 / (2 pi): an absolute reduced-cost
+        # threshold of 1e-9 ended phase 2 at the phase-1 vertex from eps = 1e-5
+        lp = build_staircase_lp(k, privacy_params(eps))
+        assert solve_primal(lp).value == pytest.approx(sign_candidate(lp).value, rel=1e-14)
+
 
 # Beale (1955): max 3/4 x4 - 20 x5 + 1/2 x6 - 6 x7 over three slack rows;
 # the optimum is 5/4 at x4 = x6 = 1 (columns: slacks x1..x3, then x4..x7).

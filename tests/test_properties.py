@@ -11,6 +11,8 @@ stable.
 
 import contextlib
 import io
+import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -127,8 +129,12 @@ def test_estimate_ends_in_an_exit_code(flags, source, data):
             argv += ["--input", str(path)]
         elif source is not None:
             argv.append(source)
-        code, _ = _run(argv)
+        code, out = _run(argv)
     assert code in EXIT_CODES
+    if code == 0:
+        payload = json.loads(out)
+        assert all(isinstance(v, float) and math.isfinite(v)
+                   for v in [payload["theta_hat"], *payload["stages"]]), out
 
 
 # Budgets up to 800 and inf: past about 354 the staircase arithmetic overflows

@@ -150,11 +150,16 @@ class TestTheoreticalReference:
         params = privacy_params(1.0)
         assert optimal_asymptotic_variance(params, 2.0) == pytest.approx(
             4.0 * optimal_asymptotic_variance(params), rel=1e-12)
-        # sigma^2 times the unit-scale value at the scaled arguments, in that order
+        # sigma^2 times the unit-scale value at the scaled distance, in that order
         for theta, theta0, sigma in [(2.0, 3.0, 2.0), (0.3, -1.1, 3.0), (5.0, 4.2, 0.7)]:
             assert one_stage_asymptotic_variance(theta, theta0, params, sigma) == (
-                sigma * sigma * one_stage_asymptotic_variance(theta / sigma, theta0 / sigma,
+                sigma * sigma * one_stage_asymptotic_variance((theta - theta0) / sigma, 0.0,
                                                               params))
+
+    def test_tiny_sigma_far_from_zero(self):
+        # theta / sigma and theta0 / sigma would both overflow; their distance does not
+        params = privacy_params(1.0)
+        assert one_stage_asymptotic_variance(1e200, 1e200, params, 1e-200) == 0.0
 
     def test_square_of_sigma_underflows(self):
         # sigma^2 underflows to 0: the variances are 0 (or inf past the density
@@ -186,9 +191,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_experiment(small_config(sweep_values=()))
 
-    def test_sigma_requires_two_stage(self):
-        with pytest.raises(ValueError):
-            run_experiment(small_config(kind="one", sigma=2.0))
+    @pytest.mark.parametrize("kind", ["one", "three"])
+    def test_sigma_runs_for_every_kind(self, kind):
+        config = small_config(kind=kind, sigma=2.0, n=3000, n0=400, bits=4, range_hi=8.0,
+                              replicates=8)
+        assert all(math.isfinite(r.scaled_mse) for r in run_experiment(config))
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
@@ -244,19 +251,14 @@ class TestEstimate:
         for kind, fn in (("one", one_stage), ("two", two_stage), ("three", three_stage)):
             data = synthetic_sample(3000, 3.0, 1.0, np.random.default_rng(5))
             expected = fn(data, cfg, np.random.default_rng(6))
-            assert estimate(kind, data, cfg, 1.0, np.random.default_rng(6)) == expected
+            assert estimate(kind, data, cfg, np.random.default_rng(6)) == expected
 
     def test_sigma_routes_to_rescaled(self):
         cfg = EstimatorConfig(epsilon=1.0)
         data = synthetic_sample(3000, 1.0, 2.0, np.random.default_rng(5))
         expected = rescaled_estimate(data, 2.0, cfg, np.random.default_rng(6))
-        assert estimate("two", data, cfg, 2.0, np.random.default_rng(6)) == expected
-
-    @pytest.mark.parametrize("kind", ["one", "three"])
-    def test_sigma_requires_two_stage(self, kind):
-        cfg = EstimatorConfig(epsilon=1.0)
-        with pytest.raises(ValueError, match="two-stage"):
-            estimate(kind, np.zeros(100), cfg, 2.0, np.random.default_rng(0))
+        scaled = dataclasses.replace(cfg, sigma=2.0)
+        assert estimate("two", data, scaled, np.random.default_rng(6)) == expected
 
     def test_synthetic_sample_order(self):
         # standard normals, then the scale, then the shift
@@ -324,7 +326,7 @@ class TestReplicateStates:
         for r in range(3, 11):
             rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(1, 0, r)))
             data = synthetic_sample(n, theta_n, 1.0, rng)
-            result = estimate("three", data, est_cfg, 1.0, rng)
+            result = estimate("three", data, est_cfg, rng)
             expected.append(result.theta_hat - theta_n)
         lo, errors, _ = _run_block(config, 1, 3, 11)
         assert lo == 3
