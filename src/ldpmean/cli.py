@@ -261,6 +261,8 @@ def _cmd_estimate(args) -> int:
     cfg = EstimatorConfig(**{f.name: getattr(args, f.name)
                              for f in dataclasses.fields(EstimatorConfig)})
     result = estimate(args.kind, data, cfg, rng)
+    if not np.isfinite(result.stage_estimates).all():
+        raise ValueError("an estimate overflows float64; sigma or the data are too large")
     _emit({
         "theta_hat": result.theta_hat,
         "stages": list(result.stage_estimates),

@@ -37,14 +37,14 @@ def privacy_params(epsilon: float) -> PrivacyParams:
     """Build ``PrivacyParams`` from a budget epsilon >= 0.
 
     epsilon = 0 yields a fair coin (p = 1/2, t = 0); epsilon = inf is
-    accepted and yields the noiseless channel (p = 1, t = 1).
+    accepted and yields the noiseless channel (p = 1, t = 1).  t_eps =
+    tanh(eps / 2) keeps its digits at small budgets, where 2p - 1 would not.
     """
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
-    # 1 / (1 + e^-eps) avoids overflow for large eps; t = 2p - 1 is then
-    # exact (Sterbenz) and matches (e^eps - 1)/(e^eps + 1).
+    # 1 / (1 + e^-eps) avoids overflow for large eps
     p = 1.0 / (1.0 + math.exp(-epsilon))
-    return PrivacyParams(epsilon=epsilon, p_eps=p, t_eps=2.0 * p - 1.0)
+    return PrivacyParams(epsilon=epsilon, p_eps=p, t_eps=math.tanh(epsilon / 2.0))
 
 
 def randomized_response(bits, params: PrivacyParams, rng: np.random.Generator):

@@ -9,8 +9,8 @@ Replicate r of sweep point s derives its random stream from
 SeedSequence(master_seed, spawn_key=(s, 0, r)) and the bootstrap of
 sweep point s from spawn_key=(s, 1), so results are bit-identical
 regardless of how replicates are scheduled across worker processes.  A
-block of replicates computes those states itself and re-seeds one
-generator in place (``_replicate_states``).
+block of replicates starts from numpy's SeedSequence pool for spawn_key
+(s, 0), hashes only r itself and re-seeds one generator in place.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ SWEEP_NAMES = ("n1", "theta0", "n")
 _BOOTSTRAP_BLOCK = 64  # resamples drawn per index matrix
 _STAGE_REACH = 77.0  # sigmas two stages can move an estimate from its first center
 
-# numpy's SeedSequence hash (4-word pool) and PCG64 seeding, for _replicate_states
-_POOL = 4
+# numpy's SeedSequence hash and PCG64 seeding, for _replicate_states
 _MASK32 = 0xFFFF_FFFF
 _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
@@ -219,18 +218,20 @@ def _replicate_states(master_seed: int, sweep_index: int, r_lo: int, r_hi: int):
     """Yield the PCG64 state of each replicate r in [r_lo, r_hi) of one sweep point.
 
     Each state equals ``np.random.PCG64(np.random.SeedSequence(master_seed,
-    spawn_key=(sweep_index, 0, r))).state`` without building either object.
-    The SeedSequence entropy is the master seed's 32-bit words, zero-padded
-    to the 4-word pool, then the words of sweep_index, 0 and r.  Its hash
-    constants advance independently of the data, so the fixed words are
-    mixed once, and the last word r (one word: r < 2**32) is mixed for a
-    chunk of replicates at a time in uint64 arithmetic masked to 32 bits.
-    Then come ``generate_state(4, uint64)`` and PCG64's seeding,
+    spawn_key=(sweep_index, 0, r))).state``.  numpy's SeedSequence for
+    spawn_key (sweep_index, 0) mixes the L words the replicates share; its
+    pool and the hash constant it reached, _INIT_A * _MULT_A**(4 L) (four
+    hashmix calls per word; a master seed below 2**64 pads to the 4-word
+    pool), are the start for the last word r (r < 2**32), hashed for a chunk
+    of replicates at a time in uint64 arithmetic masked to 32 bits.  Then
+    come ``generate_state(4, uint64)`` and PCG64's seeding,
     pcg_setseq_128_srandom_r, in Python ints.
     """
     if r_hi > 2 ** 32:
         raise ValueError("replicate indices must fit in one 32-bit word")
-    hash_const = _INIT_A
+    pool = np.random.SeedSequence(master_seed, spawn_key=(sweep_index, 0)).pool.tolist()
+    shared_words = len(pool) + max(1, (sweep_index.bit_length() + 31) // 32) + 1
+    r_const = _INIT_A * pow(_MULT_A, 4 * shared_words, 1 << 32) & _MASK32
 
     def hashmix(value):
         nonlocal hash_const
@@ -243,26 +244,13 @@ def _replicate_states(master_seed: int, sweep_index: int, r_lo: int, r_hi: int):
         x = (_MIX_L * x - _MIX_R * y) & _MASK32
         return x ^ (x >> 16)
 
-    def words(x):  # SeedSequence's split of an int: little-endian, at least one word
-        return [(x >> shift) & _MASK32 for shift in range(0, max(x.bit_length(), 1), 32)]
-
-    entropy = words(master_seed)
-    entropy += [0] * (_POOL - len(entropy)) + words(sweep_index) + [0]
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        pool = [mix(p, hashmix(word)) for p in pool]
-    r_const = hash_const
     for lo in range(r_lo, r_hi, _SEED_CHUNK):
         hash_const = r_const
         r = np.arange(lo, min(lo + _SEED_CHUNK, r_hi), dtype=np.uint64)
         mixed = [mix(p, hashmix(r)) for p in pool]
         out, out_const = [], _INIT_B
         for i in range(8):  # generate_state(4, uint64): 8 words, cycling over the pool
-            value = mixed[i % _POOL] ^ out_const
+            value = mixed[i % len(pool)] ^ out_const
             out_const = (out_const * _MULT_B) & _MASK32
             value = (value * out_const) & _MASK32
             out.append(value ^ (value >> 16))

@@ -602,6 +602,17 @@ class TestEstimate:
         assert abs(payload["theta_hat"] - 1.5e308) < 1e305
         assert all(math.isfinite(s) for s in payload["stages"])
 
+    @pytest.mark.parametrize("kind", ["one", "two"])
+    def test_overflowing_estimate_is_usage_error(self, tmp_path, capsys, kind):
+        # a stage moves up to 38 sigmas from its center, past the largest double
+        path = tmp_path / "data.txt"
+        path.write_text("1.7e308\n" * 2000)
+        code, out, err = run_cli(capsys, "estimate", "--kind", kind, "--epsilon", "1",
+                                 "--seed", "1", "--input", str(path),
+                                 "--sigma", "1.7e307", "--theta0", "1.5e308")
+        assert_one_line_usage_error(code, err)
+        assert out == ""
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_data_line_is_usage_error(self, tmp_path, capsys, bad):
         path = tmp_path / "data.txt"

@@ -30,10 +30,18 @@ class TestPrivacyParams:
     def test_threshold_budget(self):
         assert privacy_params(1.04822).t_eps == pytest.approx(0.4808, abs=1e-4)
 
-    def test_invariants_exact(self):
-        for eps in (0.01, 0.3, 1.0, 2.5, 10.0):
+    def test_t_within_two_ulp_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for eps in np.geomspace(1e-10, 40.0, 600):
+                exact = mpmath.tanh(mpmath.mpf(float(eps)) / 2)
+                err = abs(mpmath.mpf(privacy_params(float(eps)).t_eps) - exact)
+                assert err <= 2 * math.ulp(float(exact)), eps
+
+    def test_invariants(self):
+        for eps in (1e-10, 1e-5, 0.01, 0.3, 1.0, 2.5, 10.0):
             p = privacy_params(eps)
-            assert p.t_eps == 2.0 * p.p_eps - 1.0  # exact by construction
+            assert abs(p.t_eps - (2.0 * p.p_eps - 1.0)) <= 2.0 ** -51
             assert 0.5 <= p.p_eps <= 1.0
             assert 0.0 <= p.t_eps < 1.0
 

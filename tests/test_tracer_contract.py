@@ -3,7 +3,9 @@
 ``perfbench/layertrace.py`` wraps module attributes such as
 ``estimators.sign_mechanism``, ``sim.rescaled_estimate`` and
 ``lp.dual_certificate``.  A refactor that drops one of those names breaks
-every traced pass, so installing the tracer must keep working.
+every traced pass, so installing the tracer must keep working.  It also
+replaces ``sim.np`` and the process pool, so a traced run must give the
+untraced run's results.
 """
 
 import subprocess
@@ -22,5 +24,25 @@ layertrace.install(layertrace.Tracer(0))
 
 def test_tracer_installs_on_the_package():
     proc = subprocess.run([sys.executable, "-c", INSTALL], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+TRACED_RUN = """\
+import sys
+sys.path[:0] = ["perfbench", "src"]
+import layertrace
+import ldpmean.sim as sim
+cfg = sim.ExperimentConfig(kind="two", epsilon=1.0, theta_true=0.0, n=500, replicates=40,
+                           master_seed=3, sweep_name="n1", sweep_values=(50.0, 100.0))
+plain = sim.run_experiment(cfg, workers=2)
+layertrace.install(layertrace.Tracer(0))
+traced = sim.run_experiment(cfg, workers=2)
+sys.exit(0 if traced == plain else "traced results differ")
+"""
+
+
+def test_traced_pool_run_matches_the_untraced_run():
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
