@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -290,7 +291,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True,
                    help=f"even quantizer level, 2..{MAX_SOLVE_K}")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--tol", type=float, default=CHAIN_TOL)
+    p.add_argument("--tol", type=float, default=CHAIN_TOL,
+                   help="largest gap of each value from (2/pi) t_eps^2, relative to it")
     p.set_defaults(func=_cmd_lp_verify)
 
     p = sub.add_parser("simulate", help="run a Monte Carlo config, write CSV + manifest")
@@ -318,10 +320,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """One parser per process for ``main``; ``build_parser`` stays a fresh one per call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if [] in vars(args).values():  # Python 3.11 parses "--flag=--" to []
             raise _UsageError("an option was given '--' as its value")
         if getattr(args, "synthetic", False) and args.n is None:

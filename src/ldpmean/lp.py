@@ -8,14 +8,14 @@ program over mixtures of the 2^k staircase columns:
     max  mu . alpha   s.t.   S alpha = 1,  alpha >= 0,
 
 where column j of S (0-based) encodes the binary word of the integer j,
-most significant bit first, via bit * (e^eps - 1) + 1, and mu_j is the
-information contribution of that column.  This module materializes the
-program for small even k, solves it exactly with a dense two-phase simplex,
-constructs the explicit dual certificate whose objective equals the sign
-mechanism's information, checks that certificate against every column
-with an exact structured sweep in O(k^2) (any even k up to 2^16, no
-enumeration of the 2^k columns), and exposes the closed-form margin
-functions of the grid proof of feasibility for eps <= 1.048.
+most significant bit first, via 1 + s * bit with s = e^eps - 1, and mu_j
+is that column's information.  This module materializes the program for
+small even k in bit form (S is derived lazily), solves it exactly with a
+revised simplex, constructs the explicit dual certificate whose objective
+equals the sign mechanism's information, checks that certificate against
+every column with an exact structured sweep in O(k^2) (any even k up to
+2^16, no enumeration of the 2^k columns), and exposes the closed-form
+margin functions of the grid proof of feasibility for eps <= 1.048.
 
 The certificate itself stays feasible well beyond that proven bound: its
 threshold is about eps = 1.98 at k = 8 and falls to about 1.71 for
@@ -33,28 +33,43 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .mechanisms import PrivacyParams
 from .quantized import (QuantizedModel, build_quantized_model, row_information,
-                        row_information_many, sign_fisher_info)
+                        sign_fisher_info)
+# Not called here: perfbench/layertrace.py rebinds lp.row_information_many.
+from .quantized import row_information_many  # noqa: F401
 
-MAX_SOLVE_K = 12          # dense simplex over the materialized 2^k columns
+MAX_SOLVE_K = 12          # simplex over the materialized 2^k columns
 _SWEEP_BLOCK = 1 << 18    # corner slacks evaluated per block of the sweep grid
 _SWEEP_TOL = 1e-9         # slack a feasible certificate may fall below zero
-CHAIN_TOL = 1e-8          # absolute gap the equality chain allows each value
+CHAIN_TOL = 1e-8          # relative gap the equality chain allows each value
 
 
 @dataclass(frozen=True)
 class StaircaseLp:
-    """Materialized staircase program: S is (k, 2^k), mu_vec is (2^k,)."""
+    """Staircase program in bit form; S = 1 + s * bits is derived lazily.
+
+    bits is (k, 2^k), s = e^eps - 1, and unit_j = k (y . b_j)^2 / (k + s |b_j|)
+    is column j's information mu_j over s^2, as sum(y) = 0.
+    """
 
     k: int
     epsilon: float
-    S: np.ndarray
+    bits: np.ndarray
+    s: float
+    unit: np.ndarray
     mu_vec: np.ndarray
     model: QuantizedModel
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        S = 1.0 + self.s * self.bits
+        S.setflags(write=False)
+        return S
 
 
 @dataclass(frozen=True)
@@ -92,8 +107,8 @@ class DualFeasibilityReport:
     worst_column: int
 
 
-def _exp_epsilon(params: PrivacyParams, k: int) -> float:
-    """e^eps, the high staircase entry of a level-k program.
+def _staircase_step(params: PrivacyParams, k: int) -> float:
+    """s = e^eps - 1, by expm1: a staircase entry is 1 + s * bit.
 
     A column's information k (v . y)^2 / (v . 1) squares entries up to
     e^eps, and the simplex multiplies them pairwise, so a budget with
@@ -101,19 +116,19 @@ def _exp_epsilon(params: PrivacyParams, k: int) -> float:
     values turn inf and NaN.
     """
     try:
-        value = math.exp(params.epsilon)
+        s = math.expm1(params.epsilon)
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(k * value * value):
+        s = math.inf
+    if not math.isfinite(k * (1.0 + s) * (1.0 + s)):
         raise ValueError(f"staircase arithmetic overflows float64 at epsilon={params.epsilon!r}, "
                          f"k={k}: need k e^(2 epsilon) finite")
-    return value
+    return s
 
 
 def _column_bits(js: np.ndarray, k: int) -> np.ndarray:
-    """Binary words (MSB first) of the integers ``js`` as a (len, k) array."""
+    """Binary words (MSB first) of the integers ``js`` as the columns of a (k, len) array."""
     shifts = np.arange(k - 1, -1, -1)
-    return ((js[:, None] >> shifts[None, :]) & 1).astype(float)
+    return ((js[None, :] >> shifts[:, None]) & 1).astype(float)
 
 
 def _check_tol(tol: float) -> None:
@@ -123,112 +138,117 @@ def _check_tol(tol: float) -> None:
 
 
 def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
-    """Materialize S and mu for even 2 <= k <= 12 (4096 columns)."""
+    """Materialize the bit form for even 2 <= k <= 12 (4096 columns)."""
     if k > MAX_SOLVE_K:
         raise ValueError(f"k must satisfy 2 <= k <= {MAX_SOLVE_K}, got {k!r}")
     model = build_quantized_model(k)
-    js = np.arange(1 << k, dtype=np.int64)
-    S = _column_bits(js, k).T * (_exp_epsilon(params, k) - 1.0) + 1.0
-    mu_vec = row_information_many(S, model)
-    S.setflags(write=False)
-    mu_vec.setflags(write=False)
-    return StaircaseLp(k=k, epsilon=params.epsilon, S=S, mu_vec=mu_vec, model=model)
+    s = _staircase_step(params, k)
+    bits = _column_bits(np.arange(1 << k, dtype=np.int64), k)
+    unit = k * (model.y @ bits) ** 2 / (k + s * bits.sum(axis=0))
+    mu_vec = (s * s) * unit
+    for array in (bits, unit, mu_vec):
+        array.setflags(write=False)
+    return StaircaseLp(k, params.epsilon, bits, s, unit, mu_vec, model)
 
 
 def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
                  tol: float = 1e-9, max_iter: int = 100_000):
     """Maximize c @ x subject to A x = b, x >= 0, with b >= 0.
 
-    Dense two-phase tableau simplex.  The entering column is the
-    nonbasic one with the largest reduced cost (Dantzig's rule), if that
-    cost exceeds ``tol`` times the phase's largest |cost|: the staircase
-    objective shrinks like eps^2, so an absolute threshold would stop
-    phase 2 at its first vertex for small budgets.  Ties in
-    the min-ratio test are broken lexicographically: among the tied rows
-    the leaving one has the smallest row of B^-1 (the tableau's
-    artificial columns) divided by its pivot entry.  That rule keeps
-    every row of [b | B^-1] lexicographically positive, as the all-
-    artificial start [b | I] is, so no basis repeats: the heavily
-    degenerate staircase programs cannot cycle.  (The pivots that drive
-    degenerate artificials out between the phases stand outside that
-    argument.)  Returns (x, value, (phase-1 pivots, phase-2 pivots));
-    phase 1 counts those drive-out pivots.
+    Two-phase revised simplex: it keeps only B^-1 (m by m) and x_B, and
+    prices with y = c_B B^-1 as c - y A; the artificial columns (the
+    identity) are never built and price as c_art - y.  The entering
+    column is the one with the largest reduced cost (Dantzig's rule), if
+    that cost exceeds ``tol`` times the phase's largest |cost|: an
+    absolute threshold would stop phase 2 at its first vertex for tiny
+    objectives.  Ties in the min-ratio test on B^-1 a_e are broken
+    lexicographically: among the tied rows the leaving one has the
+    smallest row of B^-1 (the full tableau's artificial block) divided by
+    its pivot entry.  That rule keeps every row of [x_B | B^-1]
+    lexicographically positive, as the all-artificial start [b | I] is,
+    so no basis repeats: the heavily degenerate staircase programs cannot
+    cycle.  (The pivots that drive degenerate artificials out between the
+    phases stand outside that argument.)  Returns (x, value, (phase-1
+    pivots, phase-2 pivots)); phase 1 counts those drive-out pivots.
     """
     m, n = A.shape
-    T = np.hstack([A, np.eye(m), b.reshape(-1, 1)]).astype(float)
+    table = np.hstack([np.reshape(b, (m, 1)), np.eye(m)])  # [x_B | B^-1]
+    x_basic, inverse = table[:, 0], table[:, 1:]
     basis = np.arange(n, n + m)
 
     def iterate(costs: np.ndarray, n_allowed: int) -> int:
         cost_tol = tol * float(np.abs(costs).max())
         for pivots in range(max_iter):
-            reduced = costs[:n_allowed] - costs[basis] @ T[:, :n_allowed]
+            y = costs[basis] @ inverse
+            reduced = np.concatenate([costs[:n] - y @ A, costs[n:] - y])[:n_allowed]
             reduced[basis[basis < n_allowed]] = 0.0
             entering = int(np.argmax(reduced))
             if not reduced[entering] > cost_tol:
                 return pivots
-            col = T[:, entering]
+            col = inverse @ A[:, entering] if entering < n else inverse[:, entering - n].copy()
             rows = np.where(col > tol)[0]
             if rows.size == 0:
                 raise RuntimeError("unbounded program (cannot happen: feasible set is bounded)")
-            ratios = T[rows, -1] / col[rows]
+            ratios = x_basic[rows] / col[rows]
             best = ratios.min()
             cand = rows[ratios <= best + tol * (1.0 + abs(best))]
-            lex = T[cand, n:n + m] / col[cand, None]
-            leave_row = cand[np.lexsort(lex.T[::-1])[0]]
-            pivot(leave_row, entering)
+            lex = inverse[cand] / col[cand, None]
+            pivot(cand[np.lexsort(lex.T[::-1])[0]], entering, col)
         raise RuntimeError("simplex iteration limit exceeded")
 
-    def pivot(row: int, col: int) -> None:
-        T[row] /= T[row, col]
-        factors = T[:, col].copy()
-        factors[row] = 0.0
-        T[:] -= factors[:, None] * T[row]
-        basis[row] = col
+    def pivot(row: int, entering: int, col: np.ndarray) -> None:
+        table[row] /= col[row]
+        col[row] = 0.0
+        table[:] -= col[:, None] * table[row]
+        basis[row] = entering
 
     # Phase 1: drive the artificial variables out.
     phase1 = np.concatenate([np.zeros(n), -np.ones(m)])
     phase1_pivots = iterate(phase1, n + m)
-    if -float(phase1[basis] @ T[:, -1]) > math.sqrt(tol):
+    if -float(phase1[basis] @ x_basic) > math.sqrt(tol):
         raise RuntimeError("phase-1 simplex reports infeasibility on a feasible program")
     for i in range(m):
         if basis[i] >= n:
             # Degenerate artificial still basic at level ~0: swap it for
-            # any structural column with a nonzero entry in this row.  With
-            # none the row is redundant (at e^eps = 1 every row is all ones):
-            # the artificial stays basic at 0, and no pivot can move it.
-            structural = np.where(np.abs(T[i, :n]) > tol)[0]
+            # any structural column with a nonzero entry in this row of
+            # B^-1 A.  With none the row is redundant: the artificial stays
+            # basic at 0, and no pivot can move it.
+            structural = np.where(np.abs(inverse[i] @ A) > tol)[0]
             if structural.size:
-                pivot(i, int(structural[0]))
+                pivot(i, int(structural[0]), inverse @ A[:, structural[0]])
                 phase1_pivots += 1
 
     # Phase 2 on the original objective, artificials barred from entering.
-    phase2 = np.concatenate([c, np.zeros(m)])
-    phase2_pivots = iterate(phase2, n)
+    phase2_pivots = iterate(np.concatenate([c, np.zeros(m)]), n)
 
     x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i, -1]
+    x[basis[basis < n]] = x_basic[basis < n]
     np.maximum(x, 0.0, out=x)  # scrub -1e-17 style pivot noise
     return x, float(c @ x), (phase1_pivots, phase2_pivots)
 
 
 def solve_primal(lp: StaircaseLp) -> PrimalSolution:
-    """Solve the staircase program exactly with the dense simplex.
+    """Solve the staircase program exactly with the revised simplex.
 
-    The result is a vertex, hence carries at most k strictly positive
-    weights.
+    It runs on the bit form: with c = (1 - 1 . alpha) / s >= 0, the k rows
+    S alpha = 1 are bits alpha - c 1 = 0 and 1 . alpha + s c = 1, and the
+    objective is unit . alpha = mu . alpha / s^2.  At the vertex it returns,
+    c is basic unless alpha sits on column 0 alone, so at most k weights
+    are nonzero.
     """
-    alpha, value, pivots = _simplex_max(lp.S, np.ones(lp.k), lp.mu_vec)
-    return PrimalSolution(alpha=alpha, value=value, pivots=pivots)
+    k, n = lp.bits.shape
+    A = np.empty((k + 1, n + 1))
+    A[:k, :n], A[:k, n], A[k, :n], A[k, n] = lp.bits, -1.0, 1.0, lp.s
+    x, _, pivots = _simplex_max(A, np.eye(k + 1)[k], np.append(lp.unit, 0.0))
+    return PrimalSolution(alpha=x[:n], value=float(lp.mu_vec @ x[:n]), pivots=pivots)
 
 
 def sign_candidate(lp: StaircaseLp) -> PrimalSolution:
     """Feasible point that encodes randomized response on the half split.
 
-    Weight 1/(1 + e^eps) sits on exactly two columns: the word with ones
-    on the upper half of the indices (0..01..1) and its complement
-    (1..10..0).  The two columns sum to (1 + e^eps) in every row, so
+    Weight 1/(2 + s) = 1/(1 + e^eps) sits on exactly two columns: the word
+    with ones on the upper half of the indices (0..01..1) and its
+    complement (1..10..0).  The two columns sum to 2 + s in every row, so
     S alpha = 1 holds by construction, and the objective equals the sign
     mechanism's Fisher information.
     """
@@ -236,7 +256,7 @@ def sign_candidate(lp: StaircaseLp) -> PrimalSolution:
     lower_ones = int("0" * half + "1" * half, 2)
     upper_ones = int("1" * half + "0" * half, 2)
     alpha = np.zeros(1 << lp.k)
-    weight = 1.0 / (1.0 + math.exp(lp.epsilon))
+    weight = 1.0 / (2.0 + lp.s)
     alpha[lower_ones] = weight
     alpha[upper_ones] = weight
     return PrimalSolution(alpha=alpha, value=float(lp.mu_vec @ alpha))
@@ -294,7 +314,7 @@ def _sweep(model: QuantizedModel, params: PrivacyParams,
            tol: float) -> DualFeasibilityReport:
     """``check_dual_feasibility`` on an already built model."""
     k = model.k
-    scale = _exp_epsilon(params, k) - 1.0
+    scale = _staircase_step(params, k)
     beta = _certificate(model, params).beta
     half = k // 2
     # Per half: index orders by ascending and by descending |y|, shape (2, half).
@@ -389,9 +409,11 @@ def equality_chain(k: int, params: PrivacyParams, tol: float = CHAIN_TOL) -> dic
     """Run build -> solve -> candidate -> certificate -> sweep and report.
 
     The chain holds when the candidate value, the primal optimum and the
-    certificate sum all coincide with (2/pi) t_eps^2 within ``tol`` and
-    the certificate is feasible.  Keys match the JSON report emitted by
-    the command-line front end.  A NaN or negative ``tol`` is a ValueError.
+    certificate sum all coincide with (2/pi) t_eps^2 within ``tol``
+    relative to it (the values shrink like eps^2), or within the smallest
+    normal double, and the certificate is feasible.  Keys match the JSON
+    report emitted by the command-line front end.  A NaN or negative
+    ``tol`` is a ValueError.
     """
     _check_tol(tol)
     lp = build_staircase_lp(k, params)
@@ -401,10 +423,10 @@ def equality_chain(k: int, params: PrivacyParams, tol: float = CHAIN_TOL) -> dic
     sweep = _sweep(lp.model, params, _SWEEP_TOL)
     dual_value = float(cert.beta.sum())
     closed_form = sign_fisher_info(params)
-    holds = (sweep.feasible
-             and abs(primal.value - closed_form) <= tol
-             and abs(candidate.value - closed_form) <= tol
-             and abs(dual_value - closed_form) <= tol)
+    holds = sweep.feasible and all(
+        abs(value - closed_form) <= tol * closed_form
+        or abs(value - closed_form) < np.finfo(float).tiny
+        for value in (primal.value, candidate.value, dual_value))
     return {
         "k": k,
         "epsilon": params.epsilon,

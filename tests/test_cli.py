@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ldpmean.cli as cli
+import ldpmean.lp as lp
 import ldpmean.sim as sim
 from ldpmean.cli import (
     EXIT_BUDGET,
@@ -189,6 +191,40 @@ class TestLpVerify:
         assert_one_line_usage_error(code, err)
         assert out == ""
         assert "tolerance" in err
+
+
+    def test_chain_gap_is_relative(self, capsys, monkeypatch):
+        # at eps = 1e-4 every value is about 1.6e-9, under the absolute gap of 1e-8
+        # that CHAIN_TOL once was; a closed form off by 1e-6 relative must still fail
+        code, _, _ = run_cli(capsys, "lp-verify", "--k", "8", "--epsilon", "1e-4")
+        assert code == EXIT_OK
+        monkeypatch.setattr(lp, "sign_fisher_info",
+                            lambda params: sign_fisher_info(params) * (1.0 + 1e-6))
+        code, out, _ = run_cli(capsys, "lp-verify", "--k", "8", "--epsilon", "1e-4")
+        assert code == EXIT_VERIFY
+        assert json.loads(out)["feasible"] is True
+
+
+class TestParserReuse:
+    CALLS = [("lp-verify", "--k", "4", "--epsilon", "1"),
+             ("fisher", "--epsilon", "0.8", "--k", "4"),
+             ("lp-verify", "--k", "5", "--epsilon", "1"),
+             ("estimate", "--epsilon", "1", "--seed", "42", "--synthetic", "--n", "5000"),
+             ("lp-verify", "--k", "4", "--epsilon", "1")]
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys):
+        reused = [run_cli(capsys, *argv)[:2] for argv in self.CALLS]
+        fresh = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv)[:2])
+        assert [code for code, _ in reused] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+        assert reused == fresh
+
+    def test_build_parser_returns_a_new_parser(self):
+        # perfbench's tracer wraps parse_args on each parser build_parser returns
+        assert build_parser() is not build_parser()
+        assert cli._parser() is cli._parser()
 
 
 class TestConfigParsing:

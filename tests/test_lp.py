@@ -105,6 +105,22 @@ class TestBuildStaircase:
         each = [row_information(lp.S[:, j], lp.model) for j in range(2 ** k)]
         assert np.allclose(lp.mu_vec, each, atol=1e-15)
 
+    @pytest.mark.parametrize("eps", [1e-12, 0.5, 3.0])
+    def test_dense_matrix_is_derived_from_the_bits(self, eps):
+        lp = build_staircase_lp(6, privacy_params(eps))
+        assert "S" not in vars(lp)  # derived on first access only
+        assert lp.s == math.expm1(eps)
+        assert np.array_equal(lp.S, 1.0 + lp.s * lp.bits)
+        assert not lp.S.flags.writeable
+        assert np.array_equal(lp.mu_vec, lp.s * lp.s * lp.unit)
+
+    def test_chain_never_builds_the_dense_matrix(self, monkeypatch):
+        def no_dense(self):
+            raise AssertionError("S built")
+
+        monkeypatch.setattr(lp_module.StaircaseLp, "S", property(no_dense))
+        assert equality_chain(12, privacy_params(1.0))["chain_holds"]
+
     def test_caps(self):
         params = privacy_params(1.0)
         for bad in (1, 21):
@@ -149,7 +165,8 @@ class TestSolvePrimal:
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12])
     def test_against_highs(self, k):
-        # independent oracle: HiGHS shares no code with the tableau simplex;
+        # independent oracle: HiGHS shares no code with the revised simplex and
+        # reads the dense S and mu;
         # from about eps = 2 the optimum exceeds the sign mechanism's value
         linprog = pytest.importorskip("scipy.optimize").linprog
         for eps in (0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.8):
@@ -161,19 +178,55 @@ class TestSolvePrimal:
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0])
     def test_pivot_budget_at_top_level(self, eps):
-        # Bland's lowest-index entering rule needs 362 to 1035 phase-2 pivots here
+        # Bland's lowest-index entering rule needs 362 to 1035 phase-2 pivots here;
+        # phase 1 takes one pivot per row of the bit form (k + 1 rows)
         sol = solve_primal(build_staircase_lp(12, privacy_params(eps)))
         phase1, phase2 = sol.pivots
-        assert phase1 <= 12
+        assert phase1 <= 12 + 1
         assert 1 <= phase2 <= 3 * 12
 
     @pytest.mark.parametrize("k", [2, 8, 12])
-    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6, 1e-8])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12])
     def test_small_budgets_reach_the_optimum(self, k, eps):
         # the objective is about eps^2 / (2 pi): an absolute reduced-cost
-        # threshold of 1e-9 ended phase 2 at the phase-1 vertex from eps = 1e-5
+        # threshold of 1e-9 ended phase 2 at the phase-1 vertex from eps = 1e-5,
+        # and the default abs=1e-12 of approx would exceed every value here
         lp = build_staircase_lp(k, privacy_params(eps))
-        assert solve_primal(lp).value == pytest.approx(sign_candidate(lp).value, rel=1e-14)
+        assert solve_primal(lp).value == pytest.approx(sign_candidate(lp).value,
+                                                       rel=1e-14, abs=0)
+
+
+    def test_no_tableau_is_allocated(self):
+        # a dense m x (n + m + 1) tableau would take more memory than A itself
+        lp = build_staircase_lp(12, privacy_params(1.0))
+        k, n = lp.bits.shape
+        A = np.vstack([np.hstack([lp.bits, -np.ones((k, 1))]), np.append(np.ones(n), lp.s)])
+        rhs = np.append(np.zeros(k), 1.0)
+        costs = np.append(lp.unit, 0.0)
+        tracemalloc.start()
+        try:
+            _, value, _ = lp_module._simplex_max(A, rhs, costs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value * lp.s ** 2 == pytest.approx(solve_primal(lp).value, rel=1e-14)
+        assert peak < A.nbytes / 2
+
+
+class TestMpmathOracle:
+    """Every value of the chain against 50-digit (2/pi) tanh(eps/2)^2."""
+
+    @pytest.mark.parametrize("k", range(2, 13, 2))
+    def test_chain_values_at_every_budget(self, k):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for eps in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 1.5):
+                exact = 2 / mpmath.pi * mpmath.tanh(mpmath.mpf(eps) / 2) ** 2
+                report = equality_chain(k, privacy_params(eps))
+                assert report["chain_holds"], (k, eps)
+                for key in ("primal_value", "candidate_value", "dual_value"):
+                    rel = abs(mpmath.mpf(report[key]) / exact - 1)
+                    assert rel <= 1e-14, (k, eps, key, float(rel))
 
 
 # Beale (1955): max 3/4 x4 - 20 x5 + 1/2 x6 - 6 x7 over three slack rows;
