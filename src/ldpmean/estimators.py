@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mechanisms import PrivacyParams, privacy_params, released_bit_sum
+from .mechanisms import PrivacyParams, privacy_params, released_bit_sums
 # Not called here: perfbench/layertrace.py rebinds estimators.sign_mechanism.
 from .mechanisms import sign_mechanism  # noqa: F401
 from .numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
@@ -116,27 +116,75 @@ def invert_mean(z_bar: float, center: float, params: PrivacyParams,
     return center
 
 
-def _stage(data: np.ndarray, center: float, params: PrivacyParams, sigma: float,
-           rng: np.random.Generator) -> tuple[float, bool]:
-    """Sanitize one group at ``center`` and invert its mean bit.
+def _stage(x: np.ndarray, u: np.ndarray, centers, params: PrivacyParams,
+           sigma: float) -> tuple[list, list[bool]]:
+    """Sanitize one group per row, row i at ``centers[i]``, and invert each mean bit.
 
     S / m is the same float as the mean of the materialized +/-1 bits:
     that mean sums exact integers in float64 and divides once.
     """
-    z_bar = released_bit_sum(data, center, params, rng) / data.size
-    clamped = not abs(z_bar) < params.t_eps
-    return invert_mean(z_bar, center, params, sigma), clamped
+    estimates, clamped = [], []
+    for total, center in zip(released_bit_sums(x, u, centers, params.p_eps), centers):
+        z_bar = total / x.shape[1]
+        estimates.append(invert_mean(z_bar, center, params, sigma))
+        clamped.append(not abs(z_bar) < params.t_eps)
+    return estimates, clamped
+
+
+# Stage kernels: each runs its estimator on every row of ``x`` (one dataset) with
+# that row's uniforms ``u`` in draw order, and returns per stage all rows' estimates and flags.
+
+def one_stage_rows(x: np.ndarray, u: np.ndarray, config: EstimatorConfig):
+    """``one_stage`` on each row: n uniforms per row."""
+    estimates, clamped = _stage(x, u, [config.theta0] * len(x),
+                                privacy_params(config.epsilon), config.sigma)
+    return [estimates], [clamped]
+
+
+def two_stage_rows(x: np.ndarray, u: np.ndarray, config: EstimatorConfig, centers=None):
+    """``two_stage`` on each row, whose pilot starts at ``centers`` (theta0 by default)."""
+    n1 = two_stage_pilot(x.shape[1], config)
+    params = privacy_params(config.epsilon)
+    centers = [config.theta0] * len(x) if centers is None else centers
+    pilot, clamped1 = _stage(x[:, :n1], u[:, :n1], centers, params, config.sigma)
+    final, clamped2 = _stage(x[:, n1:], u[:, n1:], pilot, params, config.sigma)
+    return [pilot, final], [clamped1, clamped2]
+
+
+def three_stage_rows(x: np.ndarray, u: np.ndarray, config: EstimatorConfig):
+    """``three_stage`` on each row: bits * floor(n0 / bits) + n - n0 uniforms per row."""
+    n = x.shape[1]
+    three_stage_pilot(n, config)  # its n1 is two_stage_pilot's on the n - n0 tail
+    n0, rounds = config.n0, config.bits
+    p_eps = privacy_params(config.epsilon).p_eps
+    group = n0 // rounds
+    lo, hi = (np.full(len(x), end, dtype=float) for end in (config.range_lo, config.range_hi))
+    for b in range(rounds):
+        mid = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 would overflow near the largest double
+        cols = slice(b * group, (b + 1) * group)
+        up = np.array(released_bit_sums(x[:, cols], u[:, cols], mid, p_eps)) >= 0
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    prelim = (lo / 2.0 + hi / 2.0).tolist()
+    used = rounds * group
+    estimates, clamped = two_stage_rows(x[:, n0:], u[:, used:used + n - n0], config, prelim)
+    return [prelim, *estimates], [[False] * len(x), *clamped]
+
+
+def _one_row(kernel, data, config: EstimatorConfig, rng, used: int | None = None):
+    """Run ``kernel`` on ``data`` as one row, with ``used`` (default n) fresh uniforms."""
+    x = np.asarray(data, dtype=float).reshape(1, -1)
+    estimates, clamped = ([stage[0] for stage in part]
+                          for part in kernel(x, rng.random((1, used or x.size)), config))
+    return EstimateResult(estimates[-1], tuple(estimates), tuple(clamped))
 
 
 def one_stage(data, config: EstimatorConfig,
               rng: np.random.Generator) -> EstimateResult:
     """Invert the mean bit of the whole sample at the initial guess."""
-    data = np.asarray(data, dtype=float)
-    if data.size == 0:
+    if np.size(data) == 0:
         raise ValueError("one_stage requires at least one sample")
-    est, clamped = _stage(data, config.theta0, privacy_params(config.epsilon),
-                          config.sigma, rng)
-    return EstimateResult(theta_hat=est, stage_estimates=(est,), clamped=(clamped,))
+    return _one_row(one_stage_rows, data, config, rng)
 
 
 def two_stage(data, config: EstimatorConfig,
@@ -147,14 +195,8 @@ def two_stage(data, config: EstimatorConfig,
     centered at the stage-one estimate (or at theta0 when stage one
     clamped).
     """
-    data = np.asarray(data, dtype=float)
-    n1 = two_stage_pilot(data.size, config)
-    params = privacy_params(config.epsilon)
-    pilot, clamped1 = _stage(data[:n1], config.theta0, params, config.sigma, rng)
-    final, clamped2 = _stage(data[n1:], pilot, params, config.sigma, rng)
-    return EstimateResult(theta_hat=final,
-                          stage_estimates=(pilot, final),
-                          clamped=(clamped1, clamped2))
+    two_stage_pilot(np.size(data), config)  # before any draw
+    return _one_row(two_stage_rows, data, config, rng)
 
 
 def three_stage(data, config: EstimatorConfig,
@@ -169,26 +211,10 @@ def three_stage(data, config: EstimatorConfig,
     midpoint, whose resolution is (range width) / 2^bits, seeds the
     two-stage run on the remaining n - n0 samples.
     """
-    data = np.asarray(data, dtype=float)
-    n1 = three_stage_pilot(data.size, config)
-    n0, rounds = config.n0, config.bits
-    params = privacy_params(config.epsilon)
-
-    group = n0 // rounds
-    lo, hi = config.range_lo, config.range_hi
-    for b in range(rounds):
-        mid = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 would overflow near the largest double
-        chunk = data[b * group:(b + 1) * group]
-        if released_bit_sum(chunk, mid, params, rng) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    prelim = lo / 2.0 + hi / 2.0
-
-    tail = two_stage(data[n0:], replace(config, theta0=prelim, n1=n1), rng)
-    return EstimateResult(theta_hat=tail.theta_hat,
-                          stage_estimates=(prelim,) + tail.stage_estimates,
-                          clamped=(False,) + tail.clamped)
+    n = np.size(data)
+    three_stage_pilot(n, config)
+    used = config.bits * (config.n0 // config.bits) + n - config.n0
+    return _one_row(three_stage_rows, data, config, rng, used)
 
 
 def one_stage_asymptotic_variance(theta: float, theta0: float,

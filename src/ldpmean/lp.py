@@ -38,14 +38,13 @@ from functools import cached_property
 import numpy as np
 
 from .mechanisms import PrivacyParams
-from .quantized import (QuantizedModel, build_quantized_model, row_information,
-                        sign_fisher_info)
+from .quantized import QuantizedModel, build_quantized_model, sign_fisher_info
 # Not called here: perfbench/layertrace.py rebinds lp.row_information_many.
 from .quantized import row_information_many  # noqa: F401
 
 MAX_SOLVE_K = 12          # simplex over the materialized 2^k columns
 _SWEEP_BLOCK = 1 << 18    # corner slacks evaluated per block of the sweep grid
-_SWEEP_TOL = 1e-9         # slack a feasible certificate may fall below zero
+_SWEEP_TOL = 1e-9         # slack a feasible certificate may fall below zero, over (2/pi) t^2
 CHAIN_TOL = 1e-8          # relative gap the equality chain allows each value
 
 
@@ -305,6 +304,9 @@ def check_dual_feasibility(k: int, params: PrivacyParams,
     half.  The sweep evaluates those (k/2 + 1)^2 * 4 corners from prefix
     sums, a block of m1 rows at a time, then rebuilds the worst corner as
     its column word and reports that column's directly evaluated slack.
+    The certificate is feasible when that slack falls below zero by at
+    most ``tol`` times (2/pi) t_eps^2, which slacks scale like, or by less
+    than the smallest normal double.
     """
     _check_tol(tol)
     return _sweep(build_quantized_model(k), params, tol)
@@ -354,12 +356,15 @@ def _sweep(model: QuantizedModel, params: PrivacyParams,
     bits = np.zeros(k, dtype=np.uint8)
     bits[lower[a, :m1]] = 1
     bits[upper[b, :m2]] = 1
-    col = bits * scale + 1.0
-    worst_slack = float(col @ beta) - row_information(col, model)
+    # The column 1 + s * bits in bit form: 1 + s would drop the digits of s.
+    dot = scale * float(bits @ model.y)
+    info = k * dot * dot / (k + scale * (m1 + m2))
+    worst_slack = float(beta.sum()) + scale * float(bits @ beta) - info
     worst_column = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-k % 8)
-    return DualFeasibilityReport(feasible=worst_slack >= -tol,
-                                 worst_slack=worst_slack,
-                                 worst_column=worst_column)
+    return DualFeasibilityReport(
+        feasible=bool(-worst_slack <= tol * sign_fisher_info(params)
+                      or -worst_slack < np.finfo(float).tiny),
+        worst_slack=worst_slack, worst_column=worst_column)
 
 
 def certificate_margin(a1, a2, x, y, t):

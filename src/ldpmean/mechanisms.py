@@ -83,18 +83,18 @@ def sign_mechanism(x, center: float, params: PrivacyParams,
     return randomized_response(signs, params, rng)
 
 
-def released_bit_sum(x, center: float, params: PrivacyParams,
-                     rng: np.random.Generator) -> int:
-    """Sum of the bits ``sign_mechanism(x, center, params, rng)`` would release.
+def released_bit_sums(x: np.ndarray, u: np.ndarray, centers, p_eps: float) -> list[int]:
+    """Sum of each row's bits ``sign_mechanism`` would release, given its uniforms.
 
-    Draws the same uniforms, so the generator ends in the same state, but
-    never materializes the bits: a released bit is +1 exactly when the
-    sign test (x >= center) agrees with the keep test (u < p_eps), so the
-    sum is 2 * (number of agreements) - m.
+    Row i of ``x`` is tested against ``centers[i]``, with the uniforms ``u[i]``
+    the mechanism would draw.  A released bit is +1 exactly when the sign test
+    (x >= center) agrees with the keep test (u < p_eps), so a row of m samples
+    sums to 2 * (agreements) - m without materializing the bits.  Rows are counted
+    one by one: ``count_nonzero`` along an axis falls back to a much slower bool sum.
     """
-    arr = np.asarray(x)
-    keep = rng.random(arr.shape) < params.p_eps
-    return 2 * int(np.count_nonzero(keep == (arr >= center))) - arr.size
+    agree = x >= np.asarray(centers, dtype=float)[:, None]
+    np.equal(agree, u < p_eps, out=agree)
+    return [2 * int(np.count_nonzero(row)) - row.size for row in agree]
 
 
 def rr_matrix(params: PrivacyParams) -> np.ndarray:

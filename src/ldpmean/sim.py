@@ -9,8 +9,9 @@ Replicate r of sweep point s derives its random stream from
 SeedSequence(master_seed, spawn_key=(s, 0, r)) and the bootstrap of
 sweep point s from spawn_key=(s, 1), so results are bit-identical
 regardless of how replicates are scheduled across worker processes.  A
-block of replicates starts from numpy's SeedSequence pool for spawn_key
-(s, 0), hashes only r itself and re-seeds one generator in place.
+span of replicates starts from numpy's SeedSequence pool for spawn_key
+(s, 0), hashes only r itself and re-seeds one generator in place.  One
+stage kernel runs a block of replicates at once, each on its own stream.
 """
 
 from __future__ import annotations
@@ -27,19 +28,24 @@ from .estimators import (
     EstimatorConfig,
     one_stage,
     one_stage_asymptotic_variance,
+    one_stage_rows,
     optimal_asymptotic_variance,
     three_stage,
     three_stage_pilot,
+    three_stage_rows,
     two_stage,
     two_stage_pilot,
+    two_stage_rows,
 )
 # Not called here: perfbench/layertrace.py rebinds sim.rescaled_estimate.
 from .estimators import rescaled_estimate  # noqa: F401
 from .mechanisms import privacy_params
 
-ESTIMATOR_KINDS = ("one", "two", "three")
+_KERNELS = {"one": one_stage_rows, "two": two_stage_rows, "three": three_stage_rows}
+ESTIMATOR_KINDS = tuple(_KERNELS)
 SWEEP_NAMES = ("n1", "theta0", "n")
 _BOOTSTRAP_BLOCK = 64  # resamples drawn per index matrix
+_BLOCK_ELEMS = 2 ** 16  # samples per block of replicates run through one stage kernel
 _STAGE_REACH = 77.0  # sigmas two stages can move an estimate from its first center
 
 # numpy's SeedSequence hash and PCG64 seeding, for _replicate_states
@@ -267,19 +273,31 @@ def _run_block(config: ExperimentConfig, sweep_index: int,
                r_lo: int, r_hi: int):
     """Run replicates [r_lo, r_hi) of one sweep point; returns errors and clamp flags.
 
-    One generator serves the block, re-seeded in place for each replicate.
+    One generator, re-seeded in place, draws each replicate's n normals and
+    then n uniforms (at least those its estimator consumes, and nothing
+    follows) into one row; a block of rows runs through one stage kernel.
     """
     n, theta_n, est_cfg = _point_setup(config, config.sweep_values[sweep_index])
-    errors = np.empty(r_hi - r_lo)
-    clamps = np.empty(r_hi - r_lo, dtype=bool)
+    reps, rows = r_hi - r_lo, max(1, _BLOCK_ELEMS // n)
+    errors = np.empty(reps)
+    clamps = np.empty(reps, dtype=bool)
+    block = np.empty((2, rows, n))  # normals and uniforms, a replicate per row
     bitgen = np.random.PCG64(0)
     rng = np.random.default_rng(bitgen)
-    for i, state in enumerate(_replicate_states(config.master_seed, sweep_index, r_lo, r_hi)):
-        bitgen.state = state
-        data = synthetic_sample(n, theta_n, config.sigma, rng)
-        result = estimate(config.kind, data, est_cfg, rng)
-        errors[i] = result.theta_hat - theta_n
-        clamps[i] = any(result.clamped)
+    states = _replicate_states(config.master_seed, sweep_index, r_lo, r_hi)
+    for lo in range(0, reps, rows):
+        x, u = block[:, :reps - lo]  # the last block may hold fewer rows
+        for x_row, u_row, state in zip(x, u, states):  # states last: zip stops at the rows
+            bitgen.state = state
+            rng.standard_normal(out=x_row)
+            rng.random(out=u_row)
+        if config.sigma != 1.0:  # as synthetic_sample: scale, then shift
+            x *= config.sigma
+        if theta_n != 0.0:
+            x += theta_n
+        estimates, clamped = _KERNELS[config.kind](x, u, est_cfg)
+        errors[lo:lo + rows] = np.subtract(estimates[-1], theta_n)
+        clamps[lo:lo + rows] = np.any(clamped, axis=0)
     return r_lo, errors, clamps
 
 

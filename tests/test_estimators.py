@@ -10,12 +10,15 @@ from ldpmean.estimators import (
     invert_mean,
     one_stage,
     one_stage_asymptotic_variance,
+    one_stage_rows,
     optimal_asymptotic_variance,
     rescaled_estimate,
     three_stage,
     three_stage_pilot,
+    three_stage_rows,
     two_stage,
     two_stage_pilot,
+    two_stage_rows,
 )
 from ldpmean.mechanisms import privacy_params, rr_matrix, sign_mechanism, verify_ldp
 from ldpmean.numerics import std_normal_cdf
@@ -289,6 +292,46 @@ class TestCountedStagesMatchMaterializedBits:
         cfg = EstimatorConfig(epsilon=math.inf, theta0=0.5)
         result = one_stage(np.full(50, 0.5), cfg, np.random.default_rng(0))
         assert result.clamped == (True,)
+
+
+class TestKernelRows:
+    """A stage kernel runs each row on its own: row i equals the reference on row i alone."""
+
+    SHIFTS = (-3.0, -0.4, 0.0, 0.5, 2.0, 6.5, 40.0)
+
+    def rows(self, n):
+        x = np.stack([np.random.default_rng(80 + i).standard_normal(n) + shift
+                      for i, shift in enumerate(self.SHIFTS)])
+        u = np.stack([np.random.default_rng(90 + i).random(n) for i in range(len(x))])
+        return x, u
+
+    def check(self, stages, reference, cfg, x):
+        estimates, clamped = stages
+        for i, row in enumerate(x):
+            got = (estimates[-1][i], tuple(e[i] for e in estimates), tuple(c[i] for c in clamped))
+            assert got == reference(row, cfg, np.random.default_rng(90 + i)), i
+        flags = np.array(clamped)
+        assert flags.any() and not flags.all()
+        assert len(set(estimates[0])) >= 4  # the rows' first stages differ
+
+    def test_one_stage_rows(self):
+        cfg = EstimatorConfig(epsilon=1.0, theta0=0.3)
+        x, u = self.rows(40)
+
+        def reference(row, cfg, rng):
+            est, clamped = reference_stage(row, cfg.theta0, privacy_params(cfg.epsilon), rng)
+            return est, (est,), (clamped,)
+        self.check(one_stage_rows(x, u, cfg), reference, cfg, x)
+
+    def test_two_stage_rows(self):
+        cfg = EstimatorConfig(epsilon=1.0, theta0=0.0, n1=40)
+        x, u = self.rows(1500)
+        self.check(two_stage_rows(x, u, cfg), reference_two_stage, cfg, x)
+
+    def test_three_stage_rows(self):
+        cfg = EstimatorConfig(epsilon=1.0, n0=703, bits=7, n1=5, range_lo=-8.0, range_hi=8.0)
+        x, u = self.rows(2500)
+        self.check(three_stage_rows(x, u, cfg), reference_three_stage, cfg, x)
 
 
 class TestPilotSizes:

@@ -7,6 +7,7 @@ import pytest
 
 import ldpmean.lp as lp_module
 from ldpmean.lp import (
+    DualCertificate,
     build_staircase_lp,
     certificate_margin,
     certificate_margin_lower,
@@ -382,6 +383,39 @@ class TestDualFeasibility:
         assert not report.feasible
         assert direct_slack(report.worst_column, k, params) == pytest.approx(
             report.worst_slack, abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-10])
+    def test_scaled_down_certificate_is_infeasible_at_small_budgets(self, monkeypatch, eps):
+        # slacks scale like t^2, so an absolute bound passes any shortfall at small eps
+        certificate = lp_module._certificate
+        monkeypatch.setattr(lp_module, "_certificate", lambda model, params: DualCertificate(
+            beta=certificate(model, params).beta * (1 - 1e-3)))
+        report = check_dual_feasibility(8, privacy_params(eps))
+        assert not report.feasible
+        assert report.worst_slack < 0.0
+
+    @pytest.mark.parametrize("k", range(2, 23, 2))
+    def test_feasible_down_to_tiny_budgets(self, k):
+        for eps in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 1.5):
+            assert check_dual_feasibility(k, privacy_params(eps)).feasible, (k, eps)
+
+    @pytest.mark.parametrize("k", [2, 8, 22])
+    def test_worst_slack_against_mpmath(self, k):
+        # the reported column's slack, evaluated in 50 digits from the same beta
+        mpmath = pytest.importorskip("mpmath")
+        model = build_quantized_model(k)
+        with mpmath.workdps(50):
+            for eps in (1e-12, 1e-10, 1e-6, 0.5, 3.0):
+                params = privacy_params(eps)
+                report = check_dual_feasibility(k, params)
+                beta = dual_certificate(k, params).beta
+                s = mpmath.expm1(mpmath.mpf(eps))
+                col = [1 + s * ((report.worst_column >> (k - 1 - i)) & 1) for i in range(k)]
+                dot = mpmath.fsum(c * mpmath.mpf(y) for c, y in zip(col, model.y))
+                exact = (mpmath.fsum(c * mpmath.mpf(b) for c, b in zip(col, beta))
+                         - k * dot ** 2 / mpmath.fsum(col))
+                scale = 2 / mpmath.pi * mpmath.tanh(mpmath.mpf(eps) / 2) ** 2
+                assert abs(report.worst_slack - exact) <= 1e-13 * scale, (eps, report)
 
     def test_large_level_in_bounded_memory(self):
         tracemalloc.start()

@@ -6,7 +6,7 @@ import pytest
 from ldpmean.mechanisms import (
     privacy_params,
     randomized_response,
-    released_bit_sum,
+    released_bit_sums,
     rr_matrix,
     sign_mechanism,
     verify_ldp,
@@ -152,7 +152,7 @@ class TestSignMechanism:
 
 
 class TestReleasedBitSum:
-    """Oracle: the sum of the materialized bits, and the generator state after."""
+    """Oracle: the sum of the bits ``sign_mechanism`` materializes from the same uniforms."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("m", [1, 2, 7, 2000])
@@ -161,26 +161,37 @@ class TestReleasedBitSum:
         params = privacy_params(eps)
         x = np.random.default_rng(100 + seed).standard_normal(m)
         x[::3] = 0.25  # exact ties with the center
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        total = released_bit_sum(x, 0.25, params, a)
+        u = np.random.default_rng(seed).random((1, m))
+        (total,) = released_bit_sums(x[None], u, [0.25], params.p_eps)
         assert type(total) is int
-        assert total == int(sign_mechanism(x, 0.25, params, b).sum())
-        assert a.bit_generator.state == b.bit_generator.state
+        assert total == int(sign_mechanism(x, 0.25, params, np.random.default_rng(seed)).sum())
 
     @pytest.mark.parametrize("m", [1, 2, 7, 2000])
     def test_ties_release_plus_one(self, m):
         center = 1.5
-        rng = np.random.default_rng(4)
-        assert released_bit_sum(np.full(m, center), center, privacy_params(math.inf), rng) == m
-        assert released_bit_sum(np.full(m, center - 1.0), center,
-                                privacy_params(math.inf), rng) == -m
+        x = np.stack([np.full(m, center), np.full(m, center - 1.0)])
+        u = np.random.default_rng(4).random((2, m))
+        assert released_bit_sums(x, u, [center, center], privacy_params(math.inf).p_eps) == [m, -m]
 
     def test_scalar_input(self):
+        # a one-sample row counts like the scalar mechanism
         params = privacy_params(1.0)
         for seed in range(20):
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert released_bit_sum(0.0, 0.0, params, a) == sign_mechanism(0.0, 0.0, params, b)
-            assert a.random() == b.random()
+            u = np.random.default_rng(seed).random((1, 1))
+            assert released_bit_sums(np.zeros((1, 1)), u, [0.0], params.p_eps) == [
+                sign_mechanism(0.0, 0.0, params, np.random.default_rng(seed))]
+
+    def test_each_row_at_its_own_center(self):
+        params = privacy_params(0.7)
+        gen = np.random.default_rng(9)
+        x, u = gen.standard_normal((6, 301)), gen.random((6, 301))
+        centers = [-1.0, 0.0, 0.3, 2.0, -0.2, 9.0]
+        expected = [released_bit_sums(x[i:i + 1], u[i:i + 1], centers[i:i + 1], params.p_eps)[0]
+                    for i in range(6)]
+        assert released_bit_sums(x, u, centers, params.p_eps) == expected
+        assert released_bit_sums(x[:, 100:], u[:, 100:], np.array(centers), params.p_eps) == [
+            released_bit_sums(x[i:i + 1, 100:], u[i:i + 1, 100:], centers[i:i + 1],
+                              params.p_eps)[0] for i in range(6)]
 
 
 class TestRrMatrix:

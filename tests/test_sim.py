@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import EXTRA_QUEUED_CALLS
 
@@ -268,6 +269,34 @@ class TestEstimate:
         assert np.array_equal(synthetic_sample(50, 0.0, 1.0, np.random.default_rng(3)), draws)
 
 
+_THREE = dict(n0=300, bits=4, range_lo=-8.0, range_hi=8.0)
+# sample sizes whose blocks hold 72 rows, two rows and one row
+_MANY, _TWO, _ONE = sim._BLOCK_ELEMS // 72, sim._BLOCK_ELEMS // 2, sim._BLOCK_ELEMS + 1000
+BLOCK_CASES = [
+    pytest.param("one", _MANY, (3, 150), {}, "any", id="one-many-rows"),
+    pytest.param("two", _MANY, (3, 150), dict(n1=30, sigma=2.5, theta_true=0.7), "any",
+                 id="two-many-rows-scaled"),
+    pytest.param("three", _MANY, (3, 150), dict(_THREE, sigma=2.5, theta_true=0.7), "any",
+                 id="three-many-rows-scaled"),
+    pytest.param("two", _TWO, (0, 5), dict(n1=300), "any", id="two-two-rows-odd-span"),
+    pytest.param("three", _TWO, (1, 6), dict(_THREE, n1=300, theta_true=2.5), "any",
+                 id="three-two-rows-odd-span"),
+    pytest.param("one", _ONE, (0, 2), dict(theta_true=0.3), "any", id="one-one-row"),
+    pytest.param("two", _ONE, (5, 7), dict(sigma=0.37, theta_true=-1.5), "any",
+                 id="two-one-row-scaled"),
+    pytest.param("three", _ONE, (0, 2), dict(n0=15_000, range_hi=128.0, theta_true=84.3),
+                 "any", id="three-one-row"),
+    pytest.param("one", _MANY, (0, 80), dict(theta_true=3.0), "some", id="one-clamps-often"),
+    pytest.param("two", _MANY, (0, 80), dict(n1=3), "some", id="two-clamps-often"),
+    pytest.param("three", _MANY, (0, 80), dict(_THREE, n1=3, theta_true=2.5), "some",
+                 id="three-clamps-often"),
+    *(pytest.param(kind, _MANY, (0, 80), dict(_THREE, epsilon=0.0), "all",
+                   id=f"{kind}-eps-zero") for kind in sim.ESTIMATOR_KINDS),
+    *(pytest.param(kind, _MANY, (0, 80), dict(_THREE, epsilon=math.inf, n1=5), "any",
+                   id=f"{kind}-eps-inf") for kind in sim.ESTIMATOR_KINDS),
+]
+
+
 def _oracle_state(seed, s, r):
     return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(s, 0, r))).state
 
@@ -317,20 +346,41 @@ class TestReplicateStates:
         assert np.array_equal(rng.integers(0, 10, size=5, dtype=np.uint32),
                               fresh.integers(0, 10, size=5, dtype=np.uint32))
 
-    def test_block_matches_per_replicate_seed_sequences(self):
-        config = small_config(replicates=12, kind="three", n=900, n0=300, bits=4,
-                              range_hi=8.0, theta_true=2.5, sweep_name="theta0",
-                              sweep_values=(0.0, 1.0))
+    @pytest.mark.parametrize("kind, n, span, overrides, flags", BLOCK_CASES)
+    def test_block_matches_per_replicate_seed_sequences(self, kind, n, span, overrides, flags):
+        # oracle: a fresh generator per replicate, synthetic_sample, the public estimator
+        config = small_config(kind=kind, n=n, replicates=span[1], sweep_name="theta0",
+                              sweep_values=(0.0, 1.0), **overrides)
         n, theta_n, est_cfg = sim._point_setup(config, 1.0)
-        expected = []
-        for r in range(3, 11):
+        expected_errors, expected_flags = [], []
+        for r in range(*span):
             rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(1, 0, r)))
-            data = synthetic_sample(n, theta_n, 1.0, rng)
-            result = estimate("three", data, est_cfg, rng)
-            expected.append(result.theta_hat - theta_n)
-        lo, errors, _ = _run_block(config, 1, 3, 11)
-        assert lo == 3
-        assert errors.tolist() == expected
+            data = synthetic_sample(n, theta_n, config.sigma, rng)
+            result = estimate(kind, data, est_cfg, rng)
+            expected_errors.append(result.theta_hat - theta_n)
+            expected_flags.append(any(result.clamped))
+        lo, errors, clamps = _run_block(config, 1, *span)
+        assert lo == span[0]
+        assert errors.tolist() == expected_errors
+        assert clamps.tolist() == expected_flags
+        if flags == "all":
+            assert clamps.all()
+        elif flags == "some":
+            assert clamps.any() and not clamps.all()
+
+    @pytest.mark.parametrize("kind, n, reps", [("two", 2000, 70), ("three", 2000, 70),
+                                               ("two", 100_000, 2)])
+    def test_block_memory_is_bounded(self, kind, n, reps):
+        # a block holds about max(n, 2**16) normals and as many uniforms; the bound is
+        # pinned, so a block that grows fails here before the benchmark's RSS bound
+        config = small_config(kind=kind, n=n, n0=700, range_hi=8.0, replicates=reps)
+        tracemalloc.start()
+        try:
+            _run_block(config, 0, 0, reps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * max(n, 2 ** 16) * 8
 
 
 class TestDeterminism:
