@@ -51,12 +51,9 @@ from .numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
 from .quantized import (
     QuantizedModel,
     build_quantized_model,
-    cell_probabilities,
     embed_sign_channel,
     fisher_info_quantized,
-    quantize,
     row_information,
-    scaled_fisher_info,
     sign_fisher_info,
 )
 from .sim import (
@@ -84,7 +81,6 @@ __all__ = [
     "bootstrap_ci",
     "build_quantized_model",
     "build_staircase_lp",
-    "cell_probabilities",
     "certificate_margin",
     "certificate_margin_lower",
     "certificate_margin_upper",
@@ -100,14 +96,12 @@ __all__ = [
     "one_stage_asymptotic_variance",
     "optimal_asymptotic_variance",
     "privacy_params",
-    "quantize",
     "randomized_response",
     "rescaled_estimate",
     "results_to_csv",
     "row_information",
     "rr_matrix",
     "run_experiment",
-    "scaled_fisher_info",
     "sign_candidate",
     "sign_fisher_info",
     "sign_mechanism",

@@ -27,12 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import EstimatorConfig, optimal_asymptotic_variance
+from .estimators import ESTIMATOR_KINDS, EstimatorConfig, estimate, optimal_asymptotic_variance
 from .lp import CHAIN_TOL, MAX_SOLVE_K, equality_chain
 from .mechanisms import privacy_params
 from .quantized import build_quantized_model, embed_sign_channel, fisher_info_quantized, sign_fisher_info
-from .sim import (ESTIMATOR_KINDS, BudgetError, ExperimentConfig, estimate, results_to_csv,
-                  run_experiment, synthetic_sample)
+from .sim import BudgetError, ExperimentConfig, results_to_csv, run_experiment, synthetic_sample
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,9 +73,10 @@ def _emit(payload: dict) -> None:
 def real(raw: str) -> float:
     """float() that refuses NaN and +-inf.
 
-    Every config float and every float flag of ``estimate`` goes through
-    here except epsilon: epsilon = inf is the noiseless channel, and
-    ``privacy_params`` rejects a NaN or negative budget.
+    Every config float, every float flag of ``estimate`` and ``fisher
+    --sigma`` go through here, but no epsilon: epsilon = inf is the
+    noiseless channel, and ``privacy_params`` rejects a NaN or negative
+    budget.
     """
     value = float(raw)
     if not math.isfinite(value):
@@ -282,7 +282,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fisher", help="closed-form information and variance")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=real, default=1.0)
     p.add_argument("--k", type=int, default=None,
                    help="also report the level-k embedded-channel information")
     p.set_defaults(func=_cmd_fisher)

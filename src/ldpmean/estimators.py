@@ -131,11 +131,12 @@ def _stage(x: np.ndarray, u: np.ndarray, centers, params: PrivacyParams,
     return estimates, clamped
 
 
-# Stage kernels: each runs its estimator on every row of ``x`` (one dataset) with
-# that row's uniforms ``u`` in draw order, and returns per stage all rows' estimates and flags.
+# Stage kernels: each runs its estimator on every row of ``x`` (one dataset) with that
+# row's ``released_bits`` uniforms ``u`` in draw order, and returns per stage all rows'
+# estimates and flags.  ``KERNELS`` maps each kind to its kernel.
 
 def one_stage_rows(x: np.ndarray, u: np.ndarray, config: EstimatorConfig):
-    """``one_stage`` on each row: n uniforms per row."""
+    """``one_stage`` on each row."""
     estimates, clamped = _stage(x, u, [config.theta0] * len(x),
                                 privacy_params(config.epsilon), config.sigma)
     return [estimates], [clamped]
@@ -152,7 +153,7 @@ def two_stage_rows(x: np.ndarray, u: np.ndarray, config: EstimatorConfig, center
 
 
 def three_stage_rows(x: np.ndarray, u: np.ndarray, config: EstimatorConfig):
-    """``three_stage`` on each row: bits * floor(n0 / bits) + n - n0 uniforms per row."""
+    """``three_stage`` on each row."""
     n = x.shape[1]
     three_stage_pilot(n, config)  # its n1 is two_stage_pilot's on the n - n0 tail
     n0, rounds = config.n0, config.bits
@@ -171,20 +172,41 @@ def three_stage_rows(x: np.ndarray, u: np.ndarray, config: EstimatorConfig):
     return [prelim, *estimates], [[False] * len(x), *clamped]
 
 
-def _one_row(kernel, data, config: EstimatorConfig, rng, used: int | None = None):
-    """Run ``kernel`` on ``data`` as one row, with ``used`` (default n) fresh uniforms."""
+KERNELS = {"one": one_stage_rows, "two": two_stage_rows, "three": three_stage_rows}
+ESTIMATOR_KINDS = tuple(KERNELS)
+
+
+def released_bits(kind: str, n: int, config: EstimatorConfig) -> int:
+    """Uniforms the ``kind`` estimator draws on n samples, after checking its layout.
+
+    A ValueError names an unknown kind or a layout that does not fit n.
+    """
+    if kind == "one":
+        if n < 1:
+            raise ValueError("one_stage requires at least one sample")
+    elif kind == "two":
+        two_stage_pilot(n, config)
+    elif kind == "three":
+        three_stage_pilot(n, config)
+        return config.bits * (config.n0 // config.bits) + n - config.n0
+    else:
+        raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
+    return n
+
+
+def estimate(kind: str, data, config: EstimatorConfig,
+             rng: np.random.Generator) -> EstimateResult:
+    """Run the ``kind`` estimator on ``data`` as one row; nothing is drawn before its checks."""
     x = np.asarray(data, dtype=float).reshape(1, -1)
-    estimates, clamped = ([stage[0] for stage in part]
-                          for part in kernel(x, rng.random((1, used or x.size)), config))
+    u = rng.random((1, released_bits(kind, x.shape[1], config)))
+    estimates, clamped = ([stage[0] for stage in part] for part in KERNELS[kind](x, u, config))
     return EstimateResult(estimates[-1], tuple(estimates), tuple(clamped))
 
 
 def one_stage(data, config: EstimatorConfig,
               rng: np.random.Generator) -> EstimateResult:
     """Invert the mean bit of the whole sample at the initial guess."""
-    if np.size(data) == 0:
-        raise ValueError("one_stage requires at least one sample")
-    return _one_row(one_stage_rows, data, config, rng)
+    return estimate("one", data, config, rng)
 
 
 def two_stage(data, config: EstimatorConfig,
@@ -195,8 +217,7 @@ def two_stage(data, config: EstimatorConfig,
     centered at the stage-one estimate (or at theta0 when stage one
     clamped).
     """
-    two_stage_pilot(np.size(data), config)  # before any draw
-    return _one_row(two_stage_rows, data, config, rng)
+    return estimate("two", data, config, rng)
 
 
 def three_stage(data, config: EstimatorConfig,
@@ -211,10 +232,7 @@ def three_stage(data, config: EstimatorConfig,
     midpoint, whose resolution is (range width) / 2^bits, seeds the
     two-stage run on the remaining n - n0 samples.
     """
-    n = np.size(data)
-    three_stage_pilot(n, config)
-    used = config.bits * (config.n0 // config.bits) + n - config.n0
-    return _one_row(three_stage_rows, data, config, rng, used)
+    return estimate("three", data, config, rng)
 
 
 def one_stage_asymptotic_variance(theta: float, theta0: float,

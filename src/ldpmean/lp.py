@@ -57,7 +57,6 @@ class StaircaseLp:
     """
 
     k: int
-    epsilon: float
     bits: np.ndarray
     s: float
     unit: np.ndarray
@@ -147,7 +146,7 @@ def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
     mu_vec = (s * s) * unit
     for array in (bits, unit, mu_vec):
         array.setflags(write=False)
-    return StaircaseLp(k, params.epsilon, bits, s, unit, mu_vec, model)
+    return StaircaseLp(k, bits, s, unit, mu_vec, model)
 
 
 def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mechanisms import PrivacyParams
-from .numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .numerics import std_normal_pdf, std_normal_quantile
 
 MAX_LEVEL = 2 ** 16
 
@@ -56,28 +56,6 @@ def build_quantized_model(k: int) -> QuantizedModel:
     bps.setflags(write=False)
     y.setflags(write=False)
     return QuantizedModel(k=k, breakpoints=bps, y=y)
-
-
-def quantize(x: float, center: float, model: QuantizedModel) -> int:
-    """Cell index j in 1..k with x - center in (x_{j-1}, x_j].
-
-    Cells are half-open on the left; the last cell extends to +inf.
-    """
-    v = x - center
-    interior = model.breakpoints[1:-1]
-    return int(np.searchsorted(interior, v, side="left")) + 1
-
-
-def cell_probabilities(theta: float, center: float,
-                       model: QuantizedModel) -> np.ndarray:
-    """Cell masses of N(theta, 1) under a quantizer anchored at ``center``.
-
-    Entry j-1 is cdf(x_j + center - theta) - cdf(x_{j-1} + center - theta);
-    the entries are nonnegative and sum to 1 up to round-off.
-    """
-    shift = center - theta
-    cdf_vals = np.array([std_normal_cdf(b + shift) for b in model.breakpoints])
-    return cdf_vals[1:] - cdf_vals[:-1]
 
 
 def row_information_many(V, model: QuantizedModel) -> np.ndarray:
@@ -154,13 +132,3 @@ def sign_fisher_info(params: PrivacyParams) -> float:
     """
     t = params.t_eps
     return (2.0 / math.pi) * t * t
-
-
-def scaled_fisher_info(params: PrivacyParams, sigma: float) -> float:
-    """Per-sample information for known standard deviation ``sigma`` > 0.
-
-    Divides by sigma twice: sigma^2 may underflow to 0, sigma itself never.
-    """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    return sign_fisher_info(params) / sigma / sigma

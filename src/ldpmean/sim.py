@@ -10,8 +10,10 @@ SeedSequence(master_seed, spawn_key=(s, 0, r)) and the bootstrap of
 sweep point s from spawn_key=(s, 1), so results are bit-identical
 regardless of how replicates are scheduled across worker processes.  A
 span of replicates starts from numpy's SeedSequence pool for spawn_key
-(s, 0), hashes only r itself and re-seeds one generator in place.  One
-stage kernel runs a block of replicates at once, each on its own stream.
+(s, 0), hashes only r itself and re-seeds one generator in place.  The
+configured kind's stage kernel, ``estimators.KERNELS[kind]``, runs a block
+of replicates at once, each on its own stream; ``estimators.released_bits``
+checks the kind and its layout at every sweep point before any work.
 """
 
 from __future__ import annotations
@@ -24,25 +26,16 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .estimators import (
-    EstimateResult,
+    KERNELS,
     EstimatorConfig,
-    one_stage,
     one_stage_asymptotic_variance,
-    one_stage_rows,
     optimal_asymptotic_variance,
-    three_stage,
-    three_stage_pilot,
-    three_stage_rows,
-    two_stage,
-    two_stage_pilot,
-    two_stage_rows,
+    released_bits,
 )
-# Not called here: perfbench/layertrace.py rebinds sim.rescaled_estimate.
-from .estimators import rescaled_estimate  # noqa: F401
+# Not called here: perfbench/layertrace.py rebinds these four names of sim.
+from .estimators import one_stage, rescaled_estimate, three_stage, two_stage  # noqa: F401
 from .mechanisms import privacy_params
 
-_KERNELS = {"one": one_stage_rows, "two": two_stage_rows, "three": three_stage_rows}
-ESTIMATOR_KINDS = tuple(_KERNELS)
 SWEEP_NAMES = ("n1", "theta0", "n")
 _BOOTSTRAP_BLOCK = 64  # resamples drawn per index matrix
 _BLOCK_ELEMS = 2 ** 16  # samples per block of replicates run through one stage kernel
@@ -122,44 +115,26 @@ CSV_HEADER = ",".join(["sweep_name", *(f.name for f in fields(MseResult))])
 _CSV_FORMATS = [(f.name, str if f.type == "int" else _fmt) for f in fields(MseResult)]
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
+def _to_data_units(x: np.ndarray, theta: float, sigma: float) -> np.ndarray:
+    """Scale standard normals ``x`` by sigma, then shift them by theta, in place.
 
-
-def estimate(kind: str, data, cfg: EstimatorConfig,
-             rng: np.random.Generator) -> EstimateResult:
-    """Run the ``kind`` estimator on data of known scale ``cfg.sigma``."""
-    _check_kind(kind)
-    if kind == "one":
-        return one_stage(data, cfg, rng)
-    if kind == "three":
-        return three_stage(data, cfg, rng)
-    return two_stage(data, cfg, rng)
-
-
-def _check_pilot(kind: str, n: int, cfg: EstimatorConfig) -> None:
-    """Raise the ValueError the ``kind`` estimator would raise on n samples."""
-    if kind == "two":
-        two_stage_pilot(n, cfg)
-    elif kind == "three":
-        three_stage_pilot(n, cfg)
+    The CSV bytes at a pinned seed depend on this order and on the skips.
+    """
+    if sigma != 1.0:
+        x *= sigma
+    if theta != 0.0:
+        x += theta
+    return x
 
 
 def synthetic_sample(n: int, theta: float, sigma: float,
                      rng: np.random.Generator) -> np.ndarray:
     """n draws of N(theta, sigma^2): standard normals, scaled, then shifted."""
-    data = rng.standard_normal(n)
-    if sigma != 1.0:
-        data *= sigma
-    if theta != 0.0:
-        data += theta
-    return data
+    return _to_data_units(rng.standard_normal(n), theta, sigma)
 
 
 def _validate(config: ExperimentConfig) -> None:
     """Reject a config that would fail at any sweep point, before any work."""
-    _check_kind(config.kind)
     if config.sweep_name not in SWEEP_NAMES:
         raise ValueError(f"sweep must be one of {SWEEP_NAMES}, got {config.sweep_name!r}")
     if not config.sweep_values:
@@ -173,7 +148,7 @@ def _validate(config: ExperimentConfig) -> None:
         if config.sweep_name != "theta0" and not float(value).is_integer():
             raise ValueError(f"{config.sweep_name} sweep values must be integers, got {value!r}")
         n, theta_n, est_cfg = _point_setup(config, value)
-        _check_pilot(config.kind, n, est_cfg)
+        released_bits(config.kind, n, est_cfg)
         _check_overflow(config, n, theta_n, est_cfg)
         total += n * config.replicates
     if total > config.max_total_draws:
@@ -291,11 +266,8 @@ def _run_block(config: ExperimentConfig, sweep_index: int,
             bitgen.state = state
             rng.standard_normal(out=x_row)
             rng.random(out=u_row)
-        if config.sigma != 1.0:  # as synthetic_sample: scale, then shift
-            x *= config.sigma
-        if theta_n != 0.0:
-            x += theta_n
-        estimates, clamped = _KERNELS[config.kind](x, u, est_cfg)
+        _to_data_units(x, theta_n, config.sigma)
+        estimates, clamped = KERNELS[config.kind](x, u, est_cfg)
         errors[lo:lo + rows] = np.subtract(estimates[-1], theta_n)
         clamps[lo:lo + rows] = np.any(clamped, axis=0)
     return r_lo, errors, clamps

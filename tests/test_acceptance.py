@@ -32,7 +32,7 @@ from ldpmean.lp import (
 )
 from ldpmean.mechanisms import privacy_params
 from ldpmean.numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
-from ldpmean.quantized import build_quantized_model, scaled_fisher_info, sign_fisher_info
+from ldpmean.quantized import build_quantized_model, sign_fisher_info
 from ldpmean.sim import ExperimentConfig, _run_block, results_to_csv, run_experiment
 
 OPT_VAR = 7.356  # optimal-variance level used for the Monte Carlo bands
@@ -216,10 +216,9 @@ def test_08_regularity_normal_limit():
 def test_09_sigma_scaling():
     with criterion(9, "known-scale rescaling"):
         params = privacy_params(1.0)
-        base = sign_fisher_info(params)
         for sigma in (0.5, 1.0, 2.0, 5.0):
-            assert scaled_fisher_info(params, sigma) * sigma ** 2 == pytest.approx(
-                base, rel=1e-15)
+            assert optimal_asymptotic_variance(params, sigma) / sigma ** 2 == pytest.approx(
+                1.0 / sign_fisher_info(params), rel=1e-15)
         config = ExperimentConfig(
             kind="two", epsilon=1.0, theta_true=0.0, theta0=0.0, n=10 ** 5,
             replicates=20_000, master_seed=50_806, sigma=2.0,

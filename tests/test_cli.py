@@ -124,6 +124,12 @@ class TestFisher:
         assert code == EXIT_OK, err
         assert json.loads(out)["optimal_variance"] == 0.0
 
+    @pytest.mark.parametrize("sigma", ["inf", "-inf", "nan"])
+    def test_non_finite_sigma_is_usage_error(self, capsys, sigma):
+        code, out, err = run_cli(capsys, "fisher", "--epsilon", "1", "--sigma", sigma)
+        assert_one_line_usage_error(code, err)
+        assert out == ""
+
     def test_bad_flags(self, capsys):
         assert run_cli(capsys, "fisher", "--epsilon", "-1")[0] == EXIT_USAGE
         assert run_cli(capsys, "fisher")[0] == EXIT_USAGE

@@ -7,11 +7,13 @@ import pytest
 from ldpmean.estimators import (
     EstimatorConfig,
     default_n1,
+    estimate,
     invert_mean,
     one_stage,
     one_stage_asymptotic_variance,
     one_stage_rows,
     optimal_asymptotic_variance,
+    released_bits,
     rescaled_estimate,
     three_stage,
     three_stage_pilot,
@@ -367,23 +369,37 @@ class TestPrivacyAudit:
     def test_one_stage_draw_count(self):
         rng = CountingRng(1)
         data = np.random.default_rng(2).standard_normal(500)
-        one_stage(data, EstimatorConfig(epsilon=1.0), rng)
-        assert rng.uniforms == 500
+        cfg = EstimatorConfig(epsilon=1.0)
+        one_stage(data, cfg, rng)
+        assert rng.uniforms == 500 == released_bits("one", 500, cfg)
 
     def test_two_stage_draw_count(self):
         rng = CountingRng(3)
         data = np.random.default_rng(4).standard_normal(700)
-        two_stage(data, EstimatorConfig(epsilon=1.0, n1=100), rng)
-        assert rng.uniforms == 700
+        cfg = EstimatorConfig(epsilon=1.0, n1=100)
+        two_stage(data, cfg, rng)
+        assert rng.uniforms == 700 == released_bits("two", 700, cfg)
 
     def test_three_stage_draw_count(self):
         rng = CountingRng(5)
         n, n0, bits, n1 = 5000, 1000, 7, 300
         data = np.random.default_rng(6).standard_normal(n)
-        three_stage(data, EstimatorConfig(epsilon=1.0, n0=n0, bits=bits, n1=n1,
-                                          range_lo=-4.0, range_hi=4.0), rng)
+        cfg = EstimatorConfig(epsilon=1.0, n0=n0, bits=bits, n1=n1, range_lo=-4.0, range_hi=4.0)
+        three_stage(data, cfg, rng)
         # bisection leftovers (n0 mod bits) are never queried
-        assert rng.uniforms == bits * (n0 // bits) + (n - n0)
+        assert rng.uniforms == bits * (n0 // bits) + (n - n0) == released_bits("three", n, cfg)
+
+    @pytest.mark.parametrize("kind, cfg, match", [
+        ("two", EstimatorConfig(epsilon=1.0, n1=500), "n1"),
+        ("three", EstimatorConfig(epsilon=1.0, n0=400, bits=0), "bits"),
+        ("three", EstimatorConfig(epsilon=1.0, n0=450, n1=60), "n0 \\+ n1 < n"),
+        ("four", EstimatorConfig(epsilon=1.0), "kind"),
+    ])
+    def test_rejected_layout_draws_nothing(self, kind, cfg, match):
+        rng = CountingRng(7)
+        with pytest.raises(ValueError, match=match):
+            estimate(kind, np.zeros(500), cfg, rng)
+        assert rng.uniforms == 0
 
     @pytest.mark.parametrize("eps", [0.5, 1.0])
     def test_channel_is_epsilon_valid(self, eps):

@@ -8,13 +8,10 @@ from ldpmean.mechanisms import privacy_params, rr_matrix
 from ldpmean.numerics import std_normal_pdf, std_normal_quantile
 from ldpmean.quantized import (
     build_quantized_model,
-    cell_probabilities,
     embed_sign_channel,
     fisher_info_quantized,
-    quantize,
     row_information,
     row_information_many,
-    scaled_fisher_info,
     sign_fisher_info,
 )
 
@@ -64,48 +61,6 @@ class TestBuildModel:
         for x in np.linspace(0.0, 0.5, 501):
             lhs = PHI0 - std_normal_pdf(std_normal_quantile(0.5 + x))
             assert lhs - math.sqrt(math.pi / 2.0) * x * x >= -1e-12
-
-
-class TestQuantize:
-    def test_center_in_first_cell_at_level_two(self):
-        model = build_quantized_model(2)
-        assert quantize(5.0, 5.0, model) == 1
-        assert quantize(5.01, 5.0, model) == 2
-
-    def test_left_open_boundary(self):
-        model = build_quantized_model(4)
-        # -0.6744898 < quantile(1/4), so still the first cell
-        assert quantize(-0.6744898, 0.0, model) == 1
-        # exactly at the breakpoint belongs to the cell that ends there
-        assert quantize(model.breakpoints[1], 0.0, model) == 1
-        assert quantize(math.nextafter(model.breakpoints[1], 1.0), 0.0, model) == 2
-
-    def test_matches_linear_scan(self):
-        model = build_quantized_model(8)
-        rng = np.random.default_rng(10)
-        for x in rng.normal(0.0, 2.0, 300):
-            j = quantize(x, 0.5, model)
-            v = x - 0.5
-            assert model.breakpoints[j - 1] < v <= model.breakpoints[j] or (
-                j == 8 and v > model.breakpoints[7])
-
-
-class TestCellProbabilities:
-    @pytest.mark.parametrize("k", [2, 4, 10])
-    def test_centered_cells_are_uniform(self, k):
-        probs = cell_probabilities(3.0, 3.0, build_quantized_model(k))
-        assert np.allclose(probs, 1.0 / k, atol=1e-12)
-
-    def test_shifted_level_two(self):
-        probs = cell_probabilities(1.0, 0.0, build_quantized_model(2))
-        assert probs[0] == pytest.approx(0.15865525393145707, abs=1e-10)
-        assert probs[1] == pytest.approx(0.84134474606854293, abs=1e-10)
-
-    def test_simplex(self):
-        for theta in (-2.0, 0.3, 5.0):
-            probs = cell_probabilities(theta, 0.0, build_quantized_model(16))
-            assert np.all(probs >= 0.0)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRowInformation:
@@ -207,25 +162,3 @@ class TestSignFisherInfo:
             value = sign_fisher_info(privacy_params(eps))
             assert 0.0 <= value < 2.0 / math.pi + 1e-15
             assert value <= 1.0
-
-
-class TestScaledFisherInfo:
-    def test_scaling(self):
-        params = privacy_params(1.0)
-        base = sign_fisher_info(params)
-        assert scaled_fisher_info(params, 1.0) == base
-        assert scaled_fisher_info(params, 2.0) == pytest.approx(base / 4.0, rel=1e-15)
-        assert scaled_fisher_info(params, 0.5) == pytest.approx(base * 4.0, rel=1e-15)
-
-    def test_sigma_squared_product_constant(self):
-        params = privacy_params(1.0)
-        base = sign_fisher_info(params)
-        for sigma in (0.5, 1.0, 2.0, 5.0):
-            assert scaled_fisher_info(params, sigma) * sigma ** 2 == pytest.approx(
-                base, rel=1e-15)
-
-    def test_rejects_bad_sigma(self):
-        params = privacy_params(1.0)
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                scaled_fisher_info(params, bad)

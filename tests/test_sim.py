@@ -11,10 +11,13 @@ import pytest
 
 import ldpmean.sim as sim
 from ldpmean.estimators import (
+    ESTIMATOR_KINDS,
     EstimatorConfig,
+    estimate,
     one_stage,
     one_stage_asymptotic_variance,
     optimal_asymptotic_variance,
+    released_bits,
     rescaled_estimate,
     three_stage,
     two_stage,
@@ -25,7 +28,6 @@ from ldpmean.sim import (
     ExperimentConfig,
     MseResult,
     bootstrap_ci,
-    estimate,
     results_to_csv,
     run_experiment,
     _replicate_states,
@@ -233,8 +235,19 @@ class TestValidation:
     def test_pilot_sizes_before_any_work(self, monkeypatch, overrides, match):
         monkeypatch.setattr(sim, "ProcessPoolExecutor", _no_work)
         monkeypatch.setattr(sim, "_run_block", _no_work)
-        with pytest.raises(ValueError, match=match):
-            run_experiment(small_config(**overrides), workers=2)
+        config = small_config(**overrides)
+        with pytest.raises(ValueError, match=match) as raised:
+            run_experiment(config, workers=2)
+        # the message is the estimator's own, from the first point that does not fit
+        for value in config.sweep_values:
+            n, _, est_cfg = sim._point_setup(config, value)
+            try:
+                released_bits(config.kind, n, est_cfg)
+            except ValueError as exc:
+                assert str(raised.value) == str(exc)
+                break
+        else:
+            pytest.fail("every sweep point fits its estimator")
 
     @pytest.mark.parametrize("sigma", [0.0, -2.0])
     def test_sigma_positive(self, sigma):
@@ -291,9 +304,9 @@ BLOCK_CASES = [
     pytest.param("three", _MANY, (0, 80), dict(_THREE, n1=3, theta_true=2.5), "some",
                  id="three-clamps-often"),
     *(pytest.param(kind, _MANY, (0, 80), dict(_THREE, epsilon=0.0), "all",
-                   id=f"{kind}-eps-zero") for kind in sim.ESTIMATOR_KINDS),
+                   id=f"{kind}-eps-zero") for kind in ESTIMATOR_KINDS),
     *(pytest.param(kind, _MANY, (0, 80), dict(_THREE, epsilon=math.inf, n1=5), "any",
-                   id=f"{kind}-eps-inf") for kind in sim.ESTIMATOR_KINDS),
+                   id=f"{kind}-eps-inf") for kind in ESTIMATOR_KINDS),
 ]
 
 
