@@ -65,7 +65,7 @@ def _json_ready(obj):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(_json_ready(payload), indent=2))
+    print(json.dumps(_json_ready(payload), indent=2), flush=True)  # a closed pipe raises here
 
 
 # --- config file handling ---------------------------------------------------
@@ -340,6 +340,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a draw too large to allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:  # stdout's reader went away; keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -74,13 +74,13 @@ class StaircaseLp:
 class PrimalSolution:
     """Column weights alpha (length 2^k) and their objective value.
 
-    ``pivots`` holds the simplex's (phase-1, phase-2) pivot counts; a
-    point built in closed form took none.
+    ``pivots`` counts the simplex's pivots; a point built in closed form
+    took none.
     """
 
     alpha: np.ndarray
     value: float
-    pivots: tuple[int, int] = (0, 0)
+    pivots: int = 0
 
 
 @dataclass(frozen=True)
@@ -149,80 +149,56 @@ def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
     return StaircaseLp(k, bits, s, unit, mu_vec, model)
 
 
-def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
                  tol: float = 1e-9, max_iter: int = 100_000):
-    """Maximize c @ x subject to A x = b, x >= 0, with b >= 0.
+    """Maximize c @ x subject to A x = b, x >= 0, from a feasible ``basis``.
 
-    Two-phase revised simplex: it keeps only B^-1 (m by m) and x_B, and
-    prices with y = c_B B^-1 as c - y A; the artificial columns (the
-    identity) are never built and price as c_art - y.  The entering
-    column is the one with the largest reduced cost (Dantzig's rule), if
-    that cost exceeds ``tol`` times the phase's largest |cost|: an
-    absolute threshold would stop phase 2 at its first vertex for tiny
+    Revised simplex: it keeps only [x_B | B^-1] (m by m + 1), starting
+    from B^-1 = inv(A[:, basis]), and prices with y = c_B B^-1 as c - y A.
+    The entering column is the one with the largest reduced cost
+    (Dantzig's rule), if that cost exceeds ``tol`` times the largest
+    |c|: an absolute threshold would stop at the first vertex for tiny
     objectives.  Ties in the min-ratio test on B^-1 a_e are broken
     lexicographically: among the tied rows the leaving one has the
-    smallest row of B^-1 (the full tableau's artificial block) divided by
-    its pivot entry.  That rule keeps every row of [x_B | B^-1]
-    lexicographically positive, as the all-artificial start [b | I] is,
-    so no basis repeats: the heavily degenerate staircase programs cannot
-    cycle.  (The pivots that drive degenerate artificials out between the
-    phases stand outside that argument.)  Returns (x, value, (phase-1
-    pivots, phase-2 pivots)); phase 1 counts those drive-out pivots.
+    smallest row of B^-1 divided by its pivot entry.  That rule keeps
+    every row of [x_B | B^-1] lexicographically positive, which the
+    caller's basis must make true at the start, so no basis repeats: the
+    heavily degenerate staircase programs cannot cycle.  Returns (x,
+    value, pivots).
     """
     m, n = A.shape
-    table = np.hstack([np.reshape(b, (m, 1)), np.eye(m)])  # [x_B | B^-1]
+    basis = np.array(basis)
+    inverse = np.linalg.inv(A[:, basis])
+    table = np.hstack([np.reshape(inverse @ b, (m, 1)), inverse])  # [x_B | B^-1]
     x_basic, inverse = table[:, 0], table[:, 1:]
-    basis = np.arange(n, n + m)
-
-    def iterate(costs: np.ndarray, n_allowed: int) -> int:
-        cost_tol = tol * float(np.abs(costs).max())
-        for pivots in range(max_iter):
-            y = costs[basis] @ inverse
-            reduced = np.concatenate([costs[:n] - y @ A, costs[n:] - y])[:n_allowed]
-            reduced[basis[basis < n_allowed]] = 0.0
-            entering = int(np.argmax(reduced))
-            if not reduced[entering] > cost_tol:
-                return pivots
-            col = inverse @ A[:, entering] if entering < n else inverse[:, entering - n].copy()
-            rows = np.where(col > tol)[0]
-            if rows.size == 0:
-                raise RuntimeError("unbounded program (cannot happen: feasible set is bounded)")
-            ratios = x_basic[rows] / col[rows]
-            best = ratios.min()
-            cand = rows[ratios <= best + tol * (1.0 + abs(best))]
-            lex = inverse[cand] / col[cand, None]
-            pivot(cand[np.lexsort(lex.T[::-1])[0]], entering, col)
-        raise RuntimeError("simplex iteration limit exceeded")
-
-    def pivot(row: int, entering: int, col: np.ndarray) -> None:
+    cost_tol = tol * float(np.abs(c).max())
+    for pivots in range(max_iter):
+        reduced = c - (c[basis] @ inverse) @ A
+        reduced[basis] = 0.0
+        entering = int(np.argmax(reduced))
+        if not reduced[entering] > cost_tol:
+            x = np.zeros(n)
+            x[basis] = np.maximum(x_basic, 0.0)  # scrub -1e-17 style pivot noise
+            return x, float(c @ x), pivots
+        col = inverse @ A[:, entering]
+        rows = np.where(col > tol)[0]
+        if rows.size == 0:
+            raise RuntimeError("unbounded program (cannot happen: feasible set is bounded)")
+        ratios = x_basic[rows] / col[rows]
+        best = ratios.min()
+        cand = rows[ratios <= best + tol * (1.0 + abs(best))]
+        lex = inverse[cand] / col[cand, None]
+        row = cand[np.lexsort(lex.T[::-1])[0]]
         table[row] /= col[row]
         col[row] = 0.0
-        table[:] -= col[:, None] * table[row]
+        table -= col[:, None] * table[row]
         basis[row] = entering
+    raise RuntimeError("simplex iteration limit exceeded")
 
-    # Phase 1: drive the artificial variables out.
-    phase1 = np.concatenate([np.zeros(n), -np.ones(m)])
-    phase1_pivots = iterate(phase1, n + m)
-    if -float(phase1[basis] @ x_basic) > math.sqrt(tol):
-        raise RuntimeError("phase-1 simplex reports infeasibility on a feasible program")
-    for i in range(m):
-        if basis[i] >= n:
-            # Degenerate artificial still basic at level ~0: swap it for
-            # any structural column with a nonzero entry in this row of
-            # B^-1 A.  With none the row is redundant: the artificial stays
-            # basic at 0, and no pivot can move it.
-            structural = np.where(np.abs(inverse[i] @ A) > tol)[0]
-            if structural.size:
-                pivot(i, int(structural[0]), inverse @ A[:, structural[0]])
-                phase1_pivots += 1
 
-    # Phase 2 on the original objective, artificials barred from entering.
-    phase2_pivots = iterate(np.concatenate([c, np.zeros(m)]), n)
-
-    x = np.zeros(n)
-    x[basis[basis < n]] = x_basic[basis < n]
-    np.maximum(x, 0.0, out=x)  # scrub -1e-17 style pivot noise
-    return x, float(c @ x), (phase1_pivots, phase2_pivots)
+def _prefix_basis(k: int) -> list[int]:
+    """Columns of the prefix words 1^j 0^(k-j), j = 0..k: word 0 ignores its input."""
+    return [((1 << j) - 1) << (k - j) for j in range(k + 1)]
 
 
 def solve_primal(lp: StaircaseLp) -> PrimalSolution:
@@ -230,14 +206,19 @@ def solve_primal(lp: StaircaseLp) -> PrimalSolution:
 
     It runs on the bit form: with c = (1 - 1 . alpha) / s >= 0, the k rows
     S alpha = 1 are bits alpha - c 1 = 0 and 1 . alpha + s c = 1, and the
-    objective is unit . alpha = mu . alpha / s^2.  At the vertex it returns,
-    c is basic unless alpha sits on column 0 alone, so at most k weights
-    are nonzero.
+    objective is unit . alpha = mu . alpha / s^2.  The simplex starts at
+    the channel that ignores its input, alpha = e_0, with the k + 1 prefix
+    words as its basis: c is not among them, so B^-1 does not depend on
+    eps, its rows are e_k - e_0, e_(j-1) - e_j (j = 1..k-1) and e_(k-1),
+    and every row of [x_B | B^-1] = [e_0 | B^-1] is lexicographically
+    positive.  At the vertex it returns, c is basic unless alpha sits on
+    column 0 alone, so at most k weights are nonzero.
     """
     k, n = lp.bits.shape
     A = np.empty((k + 1, n + 1))
     A[:k, :n], A[:k, n], A[k, :n], A[k, n] = lp.bits, -1.0, 1.0, lp.s
-    x, _, pivots = _simplex_max(A, np.eye(k + 1)[k], np.append(lp.unit, 0.0))
+    x, _, pivots = _simplex_max(A, np.eye(k + 1)[k], np.append(lp.unit, 0.0),
+                                _prefix_basis(k))
     return PrimalSolution(alpha=x[:n], value=float(lp.mu_vec @ x[:n]), pivots=pivots)
 
 
@@ -440,6 +421,6 @@ def equality_chain(k: int, params: PrivacyParams, tol: float = CHAIN_TOL) -> dic
         "feasible": sweep.feasible,
         "worst_slack": sweep.worst_slack,
         "worst_column": sweep.worst_column,
-        "simplex_pivots": list(primal.pivots),
+        "simplex_pivots": primal.pivots,
         "chain_holds": holds,
     }

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -306,11 +307,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MseResult
     any partition across processes reduces to the same output.  One pool
     serves the whole run: every span of every point is submitted up
     front, and this process reduces and bootstraps point s while the
-    workers run later points.  With one worker the same spans run inline.
+    workers run later points.  The pool has at most one worker per CPU;
+    with one worker the same spans run inline.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _validate(config)
+    workers = min(workers, os.cpu_count() or 1)
     params = privacy_params(config.epsilon)
     reps = config.replicates
     step = max(1, math.ceil(reps / (workers * 4)))

@@ -179,18 +179,36 @@ class TestSolvePrimal:
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0])
     def test_pivot_budget_at_top_level(self, eps):
-        # Bland's lowest-index entering rule needs 362 to 1035 phase-2 pivots here;
-        # phase 1 takes one pivot per row of the bit form (k + 1 rows)
+        # Bland's lowest-index entering rule needs 362 to 1035 pivots here
         sol = solve_primal(build_staircase_lp(12, privacy_params(eps)))
-        phase1, phase2 = sol.pivots
-        assert phase1 <= 12 + 1
-        assert 1 <= phase2 <= 3 * 12
+        assert 1 <= sol.pivots <= 2 * 12
+
+    @pytest.mark.parametrize("k", range(2, 13, 2))
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1.0, 8.8, 353.0])
+    def test_prefix_basis_starts_lexicographically_positive(self, k, eps):
+        # the channel that ignores its input is a vertex: B^-1 is exact and
+        # eps-free, B^-1 b = e_0, and the lexicographic rule may start there
+        lp = build_staircase_lp(k, privacy_params(eps))
+        n = 1 << k
+        A = np.empty((k + 1, n + 1))
+        A[:k, :n], A[:k, n], A[k, :n], A[k, n] = lp.bits, -1.0, 1.0, lp.s
+        basis = lp_module._prefix_basis(k)
+        assert basis[0] == 0 and n not in basis
+        B = A[:, basis]
+        assert np.linalg.matrix_rank(B) == k + 1
+        inverse = np.linalg.inv(B)
+        assert set(np.unique(inverse)) <= {-1.0, 0.0, 1.0}
+        assert np.array_equal(inverse @ B, np.eye(k + 1))
+        x_basic = inverse @ np.eye(k + 1)[k]
+        assert np.array_equal(x_basic, np.eye(k + 1)[0])
+        for row in np.column_stack([x_basic, inverse]):
+            assert row[np.flatnonzero(row)[0]] > 0.0
 
     @pytest.mark.parametrize("k", [2, 8, 12])
     @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12])
     def test_small_budgets_reach_the_optimum(self, k, eps):
         # the objective is about eps^2 / (2 pi): an absolute reduced-cost
-        # threshold of 1e-9 ended phase 2 at the phase-1 vertex from eps = 1e-5,
+        # threshold of 1e-9 ended the simplex at its first vertex from eps = 1e-5,
         # and the default abs=1e-12 of approx would exceed every value here
         lp = build_staircase_lp(k, privacy_params(eps))
         assert solve_primal(lp).value == pytest.approx(sign_candidate(lp).value,
@@ -206,7 +224,7 @@ class TestSolvePrimal:
         costs = np.append(lp.unit, 0.0)
         tracemalloc.start()
         try:
-            _, value, _ = lp_module._simplex_max(A, rhs, costs)
+            _, value, _ = lp_module._simplex_max(A, rhs, costs, lp_module._prefix_basis(k))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -242,15 +260,14 @@ BEALE_C = np.array([0.0, 0.0, 0.0, 0.75, -20.0, 0.5, -6.0])
 class TestAntiCycling:
     @pytest.mark.parametrize("rows", [[0, 1, 2], [1, 0, 2]])
     def test_beale_reaches_optimum(self, rows):
-        # With the two degenerate rows swapped, phase 1 ends at the basis
-        # {x7, x5, x3} and a min-ratio tie broken by the lowest basic index
-        # then cycles through six bases forever; the lexicographic rule
-        # leaves the cycle.
-        x, value, (_, phase2) = lp_module._simplex_max(BEALE_A[rows], BEALE_B[rows], BEALE_C,
-                                                        max_iter=1000)
+        # From the slack basis, in either row order, a min-ratio tie broken
+        # by the lowest basic index cycles through six bases forever; the
+        # lexicographic rule leaves the cycle.
+        x, value, pivots = lp_module._simplex_max(BEALE_A[rows], BEALE_B[rows], BEALE_C,
+                                                  rows, max_iter=1000)
         assert value == pytest.approx(1.25, abs=1e-12)
         assert np.allclose(x, [0.75, 0, 0, 1, 0, 1, 0], atol=1e-12)
-        assert phase2 <= 10
+        assert pivots <= 10
 
 
 class TestSignCandidate:

@@ -1,9 +1,10 @@
+import contextlib
 import dataclasses
 import functools
 import math
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import EXTRA_QUEUED_CALLS
 
 import numpy as np
@@ -417,13 +418,39 @@ class TestDeterminism:
 
 
 class TestPool:
-    def test_worker_counts_agree_on_three_points(self):
+    def test_worker_counts_agree_on_three_points(self, monkeypatch):
         # 30 replicates cut into spans of 8, 4 and 3 for 1, 2 and 3 workers
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
         config = small_config(replicates=30, sweep_values=(30.0, 60.0, 100.0))
         reference = run_experiment(config, workers=1)
         assert len(reference) == 3
         for workers in (2, 3):
             assert run_experiment(config, workers=workers) == reference
+
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
+        # a fake executor runs every span inline, so no process is ever forked
+        sizes = []
+
+        class InlinePool(contextlib.AbstractContextManager):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        config = small_config(replicates=8, sweep_values=(30.0,))
+        assert run_experiment(config, workers=10**6) == run_experiment(config, workers=1)
+        assert sizes == [2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_block_propagates_and_cancels_the_rest(self, tmp_path, monkeypatch,
