@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -40,6 +41,9 @@ EXIT_IO = 3
 EXIT_BUDGET = 4
 
 
+_NEGATIVE_NUMBER = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)\Z", re.I)
+
+
 class _UsageError(Exception):
     pass
 
@@ -49,6 +53,11 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern reads a value such as "-1e-3" or "-nan" as an option
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):  # argparse would sys.exit(2); keep code 1
         raise _UsageError(message)
 
@@ -195,6 +204,8 @@ def _cmd_lp_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if len(args.output.splitlines()) > 1:  # the manifest records the path on one line
+        raise _UsageError(f"--output must be one line, got {args.output!r}")
     path = Path(args.config)
     try:
         text = path.read_text()

@@ -73,34 +73,6 @@ def default_n1(n: int) -> int:
     return max(1, int(n ** 0.7))
 
 
-def two_stage_pilot(n: int, config: EstimatorConfig) -> int:
-    """Pilot size n1 of a two-stage run on n samples; ValueError unless 1 <= n1 < n."""
-    n1 = config.n1 if config.n1 is not None else default_n1(n)
-    if not 1 <= n1 < n:
-        raise ValueError(f"need 1 <= n1 < n, got n1={n1}, n={n}")
-    return n1
-
-
-def three_stage_pilot(n: int, config: EstimatorConfig) -> int:
-    """Pilot size n1 of a three-stage run on n samples, after checking its layout.
-
-    The bisection needs bits >= 1, n0 >= bits and range_lo < range_hi; the
-    two-stage tail needs 1 <= n1 and n0 + n1 < n.
-    """
-    n0, rounds = config.n0, config.bits
-    if rounds < 1:
-        raise ValueError(f"bits must be >= 1, got {rounds}")
-    if n0 < rounds:
-        raise ValueError(f"need n0 >= bits, got n0={n0}, bits={rounds}")
-    if not config.range_lo < config.range_hi:
-        raise ValueError("need range_lo < range_hi")
-    # default_n1 of a non-positive count would be complex; such n fail below
-    n1 = config.n1 if config.n1 is not None else default_n1(max(1, n - n0))
-    if not 1 <= n1 or n0 + n1 >= n:
-        raise ValueError(f"need 1 <= n1 and n0 + n1 < n, got n0={n0}, n1={n1}, n={n}")
-    return n1
-
-
 def invert_mean(z_bar: float, center: float, params: PrivacyParams,
                 sigma: float = 1.0) -> float:
     """Invert the expected released bit around ``center`` for data of scale ``sigma``.
@@ -131,67 +103,75 @@ def _stage(x: np.ndarray, u: np.ndarray, centers, params: PrivacyParams,
     return estimates, clamped
 
 
-# Stage kernels: each runs its estimator on every row of ``x`` (one dataset) with that
-# row's ``released_bits`` uniforms ``u`` in draw order, and returns per stage all rows'
-# estimates and flags.  ``KERNELS`` maps each kind to its kernel.
-
-def one_stage_rows(x: np.ndarray, u: np.ndarray, config: EstimatorConfig):
-    """``one_stage`` on each row."""
-    estimates, clamped = _stage(x, u, [config.theta0] * len(x),
-                                privacy_params(config.epsilon), config.sigma)
-    return [estimates], [clamped]
+ESTIMATOR_KINDS = ("one", "two", "three")
 
 
-def two_stage_rows(x: np.ndarray, u: np.ndarray, config: EstimatorConfig, centers=None):
-    """``two_stage`` on each row, whose pilot starts at ``centers`` (theta0 by default)."""
-    n1 = two_stage_pilot(x.shape[1], config)
-    params = privacy_params(config.epsilon)
-    centers = [config.theta0] * len(x) if centers is None else centers
-    pilot, clamped1 = _stage(x[:, :n1], u[:, :n1], centers, params, config.sigma)
-    final, clamped2 = _stage(x[:, n1:], u[:, n1:], pilot, params, config.sigma)
-    return [pilot, final], [clamped1, clamped2]
+def layout(kind: str, n: int, config: EstimatorConfig) -> tuple[int, int]:
+    """Samples the bisection queries and pilot size, ``(bisected, n1)``, of ``kind`` on n samples.
 
-
-def three_stage_rows(x: np.ndarray, u: np.ndarray, config: EstimatorConfig):
-    """``three_stage`` on each row."""
-    n = x.shape[1]
-    three_stage_pilot(n, config)  # its n1 is two_stage_pilot's on the n - n0 tail
-    n0, rounds = config.n0, config.bits
-    p_eps = privacy_params(config.epsilon).p_eps
-    group = n0 // rounds
-    lo, hi = (np.full(len(x), end, dtype=float) for end in (config.range_lo, config.range_hi))
-    for b in range(rounds):
-        mid = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 would overflow near the largest double
-        cols = slice(b * group, (b + 1) * group)
-        up = np.array(released_bit_sums(x[:, cols], u[:, cols], mid, p_eps)) >= 0
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-    prelim = (lo / 2.0 + hi / 2.0).tolist()
-    used = rounds * group
-    estimates, clamped = two_stage_rows(x[:, n0:], u[:, used:used + n - n0], config, prelim)
-    return [prelim, *estimates], [[False] * len(x), *clamped]
-
-
-KERNELS = {"one": one_stage_rows, "two": two_stage_rows, "three": three_stage_rows}
-ESTIMATOR_KINDS = tuple(KERNELS)
-
-
-def released_bits(kind: str, n: int, config: EstimatorConfig) -> int:
-    """Uniforms the ``kind`` estimator draws on n samples, after checking its layout.
-
-    A ValueError names an unknown kind or a layout that does not fit n.
+    The only function that knows each kind, so the only layout check: a
+    ValueError names an unknown kind or a layout that does not fit n.
     """
     if kind == "one":
         if n < 1:
             raise ValueError("one_stage requires at least one sample")
-    elif kind == "two":
-        two_stage_pilot(n, config)
-    elif kind == "three":
-        three_stage_pilot(n, config)
-        return config.bits * (config.n0 // config.bits) + n - config.n0
-    else:
+        return 0, 0
+    if kind == "two":
+        n1 = config.n1 if config.n1 is not None else default_n1(n)
+        if not 1 <= n1 < n:
+            raise ValueError(f"need 1 <= n1 < n, got n1={n1}, n={n}")
+        return 0, n1
+    if kind != "three":
         raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
-    return n
+    n0, rounds = config.n0, config.bits
+    if rounds < 1:
+        raise ValueError(f"bits must be >= 1, got {rounds}")
+    if n0 < rounds:
+        raise ValueError(f"need n0 >= bits, got n0={n0}, bits={rounds}")
+    if not config.range_lo < config.range_hi:
+        raise ValueError("need range_lo < range_hi")
+    # default_n1 of a non-positive count would be complex; such n fail below
+    n1 = config.n1 if config.n1 is not None else default_n1(max(1, n - n0))
+    if not 1 <= n1 or n0 + n1 >= n:
+        raise ValueError(f"need 1 <= n1 and n0 + n1 < n, got n0={n0}, n1={n1}, n={n}")
+    return rounds * (n0 // rounds), n1
+
+
+def stage_rows(kind: str, x: np.ndarray, u: np.ndarray, config: EstimatorConfig):
+    """Run ``kind`` on each row of ``x`` (one dataset) with its ``released_bits`` uniforms ``u``.
+
+    Any bisection rounds run first; each later stage is centered at the
+    previous one's estimates.  Returns per stage all rows' estimates and flags.
+    """
+    n = x.shape[1]
+    bisected, n1 = layout(kind, n, config)
+    params = privacy_params(config.epsilon)
+    centers = [config.theta0] * len(x)
+    estimates, clamped = [], []
+    if bisected:
+        group = bisected // config.bits
+        lo, hi = (np.full(len(x), end, dtype=float) for end in (config.range_lo, config.range_hi))
+        for b in range(config.bits):
+            mid = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 would overflow near the largest double
+            cols = slice(b * group, (b + 1) * group)
+            up = np.array(released_bit_sums(x[:, cols], u[:, cols], mid, params.p_eps)) >= 0
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+        centers = (lo / 2.0 + hi / 2.0).tolist()
+        estimates.append(centers)
+        clamped.append([False] * len(x))
+        x, u = x[:, config.n0:], u[:, bisected:bisected + n - config.n0]
+    for cut in (slice(n1), slice(n1, None)) if n1 else (slice(None),):
+        centers, flags = _stage(x[:, cut], u[:, cut], centers, params, config.sigma)
+        estimates.append(centers)
+        clamped.append(flags)
+    return estimates, clamped
+
+
+def released_bits(kind: str, n: int, config: EstimatorConfig) -> int:
+    """Uniforms the ``kind`` estimator draws on n samples, after checking its ``layout``."""
+    bisected, _ = layout(kind, n, config)
+    return n - config.n0 + bisected if bisected else n
 
 
 def estimate(kind: str, data, config: EstimatorConfig,
@@ -199,7 +179,7 @@ def estimate(kind: str, data, config: EstimatorConfig,
     """Run the ``kind`` estimator on ``data`` as one row; nothing is drawn before its checks."""
     x = np.asarray(data, dtype=float).reshape(1, -1)
     u = rng.random((1, released_bits(kind, x.shape[1], config)))
-    estimates, clamped = ([stage[0] for stage in part] for part in KERNELS[kind](x, u, config))
+    estimates, clamped = ([stage[0] for stage in part] for part in stage_rows(kind, x, u, config))
     return EstimateResult(estimates[-1], tuple(estimates), tuple(clamped))
 
 

@@ -10,10 +10,10 @@ SeedSequence(master_seed, spawn_key=(s, 0, r)) and the bootstrap of
 sweep point s from spawn_key=(s, 1), so results are bit-identical
 regardless of how replicates are scheduled across worker processes.  A
 span of replicates starts from numpy's SeedSequence pool for spawn_key
-(s, 0), hashes only r itself and re-seeds one generator in place.  The
-configured kind's stage kernel, ``estimators.KERNELS[kind]``, runs a block
-of replicates at once, each on its own stream; ``estimators.released_bits``
-checks the kind and its layout at every sweep point before any work.
+(s, 0), hashes only r itself and re-seeds one generator in place.  One
+stage loop, ``estimators.stage_rows``, runs a block of replicates of any
+kind at once, each on its own stream; ``estimators.released_bits`` checks
+the kind and its layout at every sweep point before any work.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .estimators import (
-    KERNELS,
     EstimatorConfig,
     one_stage_asymptotic_variance,
     optimal_asymptotic_variance,
     released_bits,
+    stage_rows,
 )
 # Not called here: perfbench/layertrace.py rebinds these four names of sim.
 from .estimators import one_stage, rescaled_estimate, three_stage, two_stage  # noqa: F401
@@ -39,7 +39,7 @@ from .mechanisms import privacy_params
 
 SWEEP_NAMES = ("n1", "theta0", "n")
 _BOOTSTRAP_BLOCK = 64  # resamples drawn per index matrix
-_BLOCK_ELEMS = 2 ** 16  # samples per block of replicates run through one stage kernel
+_BLOCK_ELEMS = 2 ** 16  # samples per block of replicates run through one stage loop
 _STAGE_REACH = 77.0  # sigmas two stages can move an estimate from its first center
 
 # numpy's SeedSequence hash and PCG64 seeding, for _replicate_states
@@ -251,7 +251,7 @@ def _run_block(config: ExperimentConfig, sweep_index: int,
 
     One generator, re-seeded in place, draws each replicate's n normals and
     then n uniforms (at least those its estimator consumes, and nothing
-    follows) into one row; a block of rows runs through one stage kernel.
+    follows) into one row; a block of rows runs through ``stage_rows``.
     """
     n, theta_n, est_cfg = _point_setup(config, config.sweep_values[sweep_index])
     reps, rows = r_hi - r_lo, max(1, _BLOCK_ELEMS // n)
@@ -268,7 +268,7 @@ def _run_block(config: ExperimentConfig, sweep_index: int,
             rng.standard_normal(out=x_row)
             rng.random(out=u_row)
         _to_data_units(x, theta_n, config.sigma)
-        estimates, clamped = KERNELS[config.kind](x, u, est_cfg)
+        estimates, clamped = stage_rows(config.kind, x, u, est_cfg)
         errors[lo:lo + rows] = np.subtract(estimates[-1], theta_n)
         clamps[lo:lo + rows] = np.any(clamped, axis=0)
     return r_lo, errors, clamps

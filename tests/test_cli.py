@@ -79,6 +79,26 @@ def test_double_dash_option_value_is_usage_error(capsys, argv):
     assert_one_line_usage_error(*run_cli(capsys, *argv)[::2])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("estimate", "--epsilon", "1", "--seed", "3", "--synthetic", "--n", "50",
+      "--theta0", "-1e-3"), None),
+    (("estimate", "--epsilon", "1", "--seed", "3", "--synthetic", "--n", "50",
+      "--theta0", "-1E3"), None),
+    (("fisher", "--epsilon", "1", "--sigma", "-1e-3"), "sigma must be > 0"),
+    (("fisher", "--epsilon", "-1E-3"), "epsilon must be >= 0"),
+    (("fisher", "--epsilon", "-inf"), "epsilon must be >= 0"),
+    (("fisher", "--epsilon", "1", "--sigma", "-nan"), "invalid real value"),
+])
+def test_negative_exponent_value_is_a_number(capsys, argv, message):
+    # argparse's own pattern reads "-1e-3" as an option: "expected one argument"
+    code, _, err = run_cli(capsys, *argv)
+    if message is None:
+        assert code == EXIT_OK, err
+    else:
+        assert_one_line_usage_error(code, err)
+        assert message in err
+
+
 class TestFisher:
     def test_unit_budget(self, capsys):
         code, out, _ = run_cli(capsys, "fisher", "--epsilon", "1")
@@ -521,6 +541,18 @@ class TestSimulate:
                                "--output", str(out))
         assert_one_line_usage_error(code, err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("brk", ["\n", "\u2028"])
+    def test_multi_line_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     brk):
+        # the manifest records the path on a comment line: a line break would inject a key
+        monkeypatch.setattr(sim, "_run_block", _no_work)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG)
+        code, _, err = run_cli(capsys, "simulate", str(cfg), "--seed", "7",
+                               "--output", str(tmp_path / f"p{brk}n1 = 7"))
+        assert_one_line_usage_error(code, err)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize("layout", ["missing_dir", "csv_is_dir", "manifest_is_dir"])
     def test_unwritable_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch,

@@ -5,22 +5,20 @@ import numpy as np
 import pytest
 
 from ldpmean.estimators import (
+    ESTIMATOR_KINDS,
     EstimatorConfig,
     default_n1,
     estimate,
     invert_mean,
+    layout,
     one_stage,
     one_stage_asymptotic_variance,
-    one_stage_rows,
     optimal_asymptotic_variance,
     released_bits,
     rescaled_estimate,
+    stage_rows,
     three_stage,
-    three_stage_pilot,
-    three_stage_rows,
     two_stage,
-    two_stage_pilot,
-    two_stage_rows,
 )
 from ldpmean.mechanisms import privacy_params, rr_matrix, sign_mechanism, verify_ldp
 from ldpmean.numerics import std_normal_cdf
@@ -296,10 +294,21 @@ class TestCountedStagesMatchMaterializedBits:
         assert result.clamped == (True,)
 
 
-class TestKernelRows:
-    """A stage kernel runs each row on its own: row i equals the reference on row i alone."""
+def reference_one_stage(data, cfg, rng):
+    est, clamped = reference_stage(data, cfg.theta0, privacy_params(cfg.epsilon), rng)
+    return est, (est,), (clamped,)
+
+
+class TestStageRows:
+    """The stage loop runs each row on its own: row i equals the reference on row i alone."""
 
     SHIFTS = (-3.0, -0.4, 0.0, 0.5, 2.0, 6.5, 40.0)
+    CASES = {
+        "one": (EstimatorConfig(epsilon=1.0, theta0=0.3), 40, reference_one_stage),
+        "two": (EstimatorConfig(epsilon=1.0, theta0=0.0, n1=40), 1500, reference_two_stage),
+        "three": (EstimatorConfig(epsilon=1.0, n0=703, bits=7, n1=5, range_lo=-8.0,
+                                  range_hi=8.0), 2500, reference_three_stage),
+    }
 
     def rows(self, n):
         x = np.stack([np.random.default_rng(80 + i).standard_normal(n) + shift
@@ -307,8 +316,11 @@ class TestKernelRows:
         u = np.stack([np.random.default_rng(90 + i).random(n) for i in range(len(x))])
         return x, u
 
-    def check(self, stages, reference, cfg, x):
-        estimates, clamped = stages
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_stage_rows(self, kind):
+        cfg, n, reference = self.CASES[kind]
+        x, u = self.rows(n)
+        estimates, clamped = stage_rows(kind, x, u, cfg)
         for i, row in enumerate(x):
             got = (estimates[-1][i], tuple(e[i] for e in estimates), tuple(c[i] for c in clamped))
             assert got == reference(row, cfg, np.random.default_rng(90 + i)), i
@@ -316,51 +328,37 @@ class TestKernelRows:
         assert flags.any() and not flags.all()
         assert len(set(estimates[0])) >= 4  # the rows' first stages differ
 
-    def test_one_stage_rows(self):
-        cfg = EstimatorConfig(epsilon=1.0, theta0=0.3)
+    def test_unknown_kind(self):
         x, u = self.rows(40)
-
-        def reference(row, cfg, rng):
-            est, clamped = reference_stage(row, cfg.theta0, privacy_params(cfg.epsilon), rng)
-            return est, (est,), (clamped,)
-        self.check(one_stage_rows(x, u, cfg), reference, cfg, x)
-
-    def test_two_stage_rows(self):
-        cfg = EstimatorConfig(epsilon=1.0, theta0=0.0, n1=40)
-        x, u = self.rows(1500)
-        self.check(two_stage_rows(x, u, cfg), reference_two_stage, cfg, x)
-
-    def test_three_stage_rows(self):
-        cfg = EstimatorConfig(epsilon=1.0, n0=703, bits=7, n1=5, range_lo=-8.0, range_hi=8.0)
-        x, u = self.rows(2500)
-        self.check(three_stage_rows(x, u, cfg), reference_three_stage, cfg, x)
+        with pytest.raises(ValueError, match="kind must be one of"):
+            stage_rows("four", x, u, EstimatorConfig(epsilon=1.0))
 
 
 class TestPilotSizes:
     def test_two_stage_pilot(self):
-        assert two_stage_pilot(10 ** 5, EstimatorConfig(epsilon=1.0)) == 3162
-        assert two_stage_pilot(100, EstimatorConfig(epsilon=1.0, n1=99)) == 99
+        assert layout("two", 10 ** 5, EstimatorConfig(epsilon=1.0))[1] == 3162
+        assert layout("two", 100, EstimatorConfig(epsilon=1.0, n1=99))[1] == 99
         for n1, n in ((0, 100), (100, 100), (-1, 100)):
             with pytest.raises(ValueError, match="n1"):
-                two_stage_pilot(n, EstimatorConfig(epsilon=1.0, n1=n1))
+                layout("two", n, EstimatorConfig(epsilon=1.0, n1=n1))
 
     def test_three_stage_pilot(self):
         cfg = EstimatorConfig(epsilon=1.0, n0=1000, bits=7)
-        assert three_stage_pilot(1100, cfg) == default_n1(100)
-        assert three_stage_pilot(1100, EstimatorConfig(epsilon=1.0, n0=1000, n1=99)) == 99
+        assert layout("three", 1100, cfg)[1] == default_n1(100)
+        assert layout("three", 1100, EstimatorConfig(epsilon=1.0, n0=1000, n1=99))[1] == 99
 
     @pytest.mark.parametrize("n", [1, 999, 1000, 1001])
     def test_three_stage_sample_too_small(self, n):
         # below n0 the default pilot size used to be int() of a complex power
         with pytest.raises(ValueError, match="n0 \\+ n1 < n"):
-            three_stage_pilot(n, EstimatorConfig(epsilon=1.0, n0=1000))
+            layout("three", n, EstimatorConfig(epsilon=1.0, n0=1000))
         with pytest.raises(ValueError, match="n0 \\+ n1 < n"):
             three_stage(np.zeros(n), EstimatorConfig(epsilon=1.0, n0=1000),
                         np.random.default_rng(0))
 
     def test_three_stage_explicit_zero_pilot(self):
         with pytest.raises(ValueError, match="1 <= n1"):
-            three_stage_pilot(5000, EstimatorConfig(epsilon=1.0, n0=1000, n1=0))
+            layout("three", 5000, EstimatorConfig(epsilon=1.0, n0=1000, n1=0))
 
 
 class TestPrivacyAudit:
