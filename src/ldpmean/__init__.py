@@ -23,7 +23,6 @@ from .estimators import (
     two_stage,
 )
 from .lp import (
-    DualCertificate,
     DualFeasibilityReport,
     PrimalSolution,
     StaircaseLp,
@@ -68,7 +67,6 @@ from .sim import (
 __all__ = [
     "__version__",
     "BudgetError",
-    "DualCertificate",
     "DualFeasibilityReport",
     "EstimateResult",
     "EstimatorConfig",

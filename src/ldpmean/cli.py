@@ -266,8 +266,12 @@ def _cmd_estimate(args) -> int:
         except OSError as exc:
             print(f"error: cannot read data: {exc}", file=sys.stderr)
             return EXIT_IO
+    elif args.n < 1:
+        raise _UsageError(f"--n must be >= 1, got {args.n}")
     else:
         data = synthetic_sample(args.n, args.theta, args.sigma, rng)
+    if not data.size:
+        raise ValueError("no data values")
     if not np.isfinite(data).all():
         raise ValueError("data values must be finite")
     cfg = EstimatorConfig(**{f.name: getattr(args, f.name)

@@ -16,6 +16,10 @@ equals the sign mechanism's information, checks that certificate against
 every column with an exact structured sweep in O(k^2) (any even k up to
 2^16, no enumeration of the 2^k columns), and exposes the closed-form
 margin functions of the grid proof of feasibility for eps <= 1.048.
+``equality_chain`` runs those public steps in order: build_staircase_lp,
+solve_primal, sign_candidate, dual_certificate (which returns beta) and
+check_dual_feasibility.  They share one quantizer model per k, cached by
+``build_quantized_model``.
 
 The certificate itself stays feasible well beyond that proven bound: its
 threshold is about eps = 1.98 at k = 8 and falls to about 1.71 for
@@ -38,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .mechanisms import PrivacyParams
-from .quantized import QuantizedModel, build_quantized_model, sign_fisher_info
+from .quantized import build_quantized_model, sign_fisher_info
 # Not called here: perfbench/layertrace.py rebinds lp.row_information_many.
 from .quantized import row_information_many  # noqa: F401
 
@@ -61,7 +65,6 @@ class StaircaseLp:
     s: float
     unit: np.ndarray
     mu_vec: np.ndarray
-    model: QuantizedModel
 
     @cached_property
     def S(self) -> np.ndarray:
@@ -81,13 +84,6 @@ class PrimalSolution:
     alpha: np.ndarray
     value: float
     pivots: int = 0
-
-
-@dataclass(frozen=True)
-class DualCertificate:
-    """Dual vector beta (length k); its sum is the certified optimum."""
-
-    beta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
     mu_vec = (s * s) * unit
     for array in (bits, unit, mu_vec):
         array.setflags(write=False)
-    return StaircaseLp(k, bits, s, unit, mu_vec, model)
+    return StaircaseLp(k, bits, s, unit, mu_vec)
 
 
 def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
@@ -254,21 +250,18 @@ def mechanism_from_solution(solution: PrimalSolution, lp: StaircaseLp,
     return (lp.S[:, support] * solution.alpha[support]).T
 
 
-def dual_certificate(k: int, params: PrivacyParams) -> DualCertificate:
-    """Closed-form dual vector whose sum is (2/pi) * t_eps^2.
+def dual_certificate(k: int, params: PrivacyParams) -> np.ndarray:
+    """Closed-form dual vector beta, a read-only array of length k summing to (2/pi) t_eps^2.
 
     beta_j = -2 t^2 / (pi k) + |y_j| t^2 sqrt(8/pi).  Because the |y_j|
     sum telescopes to 2 * pdf(0), the total is exactly the sign
     mechanism's information; beta is symmetric under j -> k + 1 - j.
     """
-    return _certificate(build_quantized_model(k), params)
-
-
-def _certificate(model: QuantizedModel, params: PrivacyParams) -> DualCertificate:
+    model = build_quantized_model(k)
     t2 = params.t_eps * params.t_eps
-    beta = -2.0 * t2 / (math.pi * model.k) + np.abs(model.y) * t2 * math.sqrt(8.0 / math.pi)
+    beta = -2.0 * t2 / (math.pi * k) + np.abs(model.y) * t2 * math.sqrt(8.0 / math.pi)
     beta.setflags(write=False)
-    return DualCertificate(beta=beta)
+    return beta
 
 
 def check_dual_feasibility(k: int, params: PrivacyParams,
@@ -289,15 +282,9 @@ def check_dual_feasibility(k: int, params: PrivacyParams,
     than the smallest normal double.
     """
     _check_tol(tol)
-    return _sweep(build_quantized_model(k), params, tol)
-
-
-def _sweep(model: QuantizedModel, params: PrivacyParams,
-           tol: float) -> DualFeasibilityReport:
-    """``check_dual_feasibility`` on an already built model."""
-    k = model.k
+    beta = dual_certificate(k, params)
+    model = build_quantized_model(k)
     scale = _staircase_step(params, k)
-    beta = _certificate(model, params).beta
     half = k // 2
     # Per half: index orders by ascending and by descending |y|, shape (2, half).
     orders = []
@@ -404,9 +391,8 @@ def equality_chain(k: int, params: PrivacyParams, tol: float = CHAIN_TOL) -> dic
     lp = build_staircase_lp(k, params)
     primal = solve_primal(lp)
     candidate = sign_candidate(lp)
-    cert = _certificate(lp.model, params)
-    sweep = _sweep(lp.model, params, _SWEEP_TOL)
-    dual_value = float(cert.beta.sum())
+    dual_value = float(dual_certificate(k, params).sum())
+    sweep = check_dual_feasibility(k, params)
     closed_form = sign_fisher_info(params)
     holds = sweep.feasible and all(
         abs(value - closed_form) <= tol * closed_form

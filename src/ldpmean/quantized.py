@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,8 +38,13 @@ class QuantizedModel:
     y: np.ndarray
 
 
+@lru_cache(maxsize=1)
 def build_quantized_model(k: int) -> QuantizedModel:
-    """Build the level-k model; k must be even, 2 <= k <= 2^16."""
+    """Build the level-k model; k must be even, 2 <= k <= 2^16.
+
+    The last model built is cached: it is frozen with read-only arrays, so
+    the steps of one LP chain share it instead of rebuilding it.
+    """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"quantizer level must be an even integer >= 2, got {k!r}")
     if k > MAX_LEVEL:

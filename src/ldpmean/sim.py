@@ -12,8 +12,8 @@ regardless of how replicates are scheduled across worker processes.  A
 span of replicates starts from numpy's SeedSequence pool for spawn_key
 (s, 0), hashes only r itself and re-seeds one generator in place.  One
 stage loop, ``estimators.stage_rows``, runs a block of replicates of any
-kind at once, each on its own stream; ``estimators.released_bits`` checks
-the kind and its layout at every sweep point before any work.
+kind at once, each on its own stream; ``estimators.layout`` checks the
+kind and its layout at every sweep point before any work.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import numpy as np
 
 from .estimators import (
     EstimatorConfig,
+    layout,
     one_stage_asymptotic_variance,
     optimal_asymptotic_variance,
-    released_bits,
     stage_rows,
 )
 # Not called here: perfbench/layertrace.py rebinds these four names of sim.
@@ -149,8 +149,8 @@ def _validate(config: ExperimentConfig) -> None:
         if config.sweep_name != "theta0" and not float(value).is_integer():
             raise ValueError(f"{config.sweep_name} sweep values must be integers, got {value!r}")
         n, theta_n, est_cfg = _point_setup(config, value)
-        released_bits(config.kind, n, est_cfg)
-        _check_overflow(config, n, theta_n, est_cfg)
+        bisected, _ = layout(config.kind, n, est_cfg)
+        _check_overflow(config, n, theta_n, est_cfg, bisected > 0)
         total += n * config.replicates
     if total > config.max_total_draws:
         raise BudgetError(
@@ -158,17 +158,17 @@ def _validate(config: ExperimentConfig) -> None:
 
 
 def _check_overflow(config: ExperimentConfig, n: int, theta_n: float,
-                    est_cfg: EstimatorConfig) -> None:
+                    est_cfg: EstimatorConfig, in_range: bool) -> None:
     """Reject a point whose squared errors would overflow float64.
 
     A stage moves its center by at most ``_STAGE_REACH`` / 2 sigmas, since
     |Phi^-1(p)| <= 38.47 for every double p in (0, 1).  So an estimate
-    lies within ``_STAGE_REACH`` sigmas of its first center: theta0, or
-    for the three-stage estimator a point of [range_lo, range_hi].  The
-    scaled MSE sums ``replicates`` squared errors and multiplies their
-    mean by n; both must stay finite.
+    lies within ``_STAGE_REACH`` sigmas of its first center: theta0, or a
+    point of [range_lo, range_hi] if the estimator bisects that range
+    first (``in_range``).  The scaled MSE sums ``replicates`` squared
+    errors and multiplies their mean by n; both must stay finite.
     """
-    if config.kind == "three":
+    if in_range:
         far = max(abs(theta_n - est_cfg.range_lo), abs(theta_n - est_cfg.range_hi))
     else:
         far = abs(theta_n - est_cfg.theta0)

@@ -78,8 +78,8 @@ def test_02_equality_chain_small_levels():
                 cand = sign_candidate(lp)
                 assert np.allclose(lp.S @ cand.alpha, 1.0, atol=1e-12)
                 assert abs(cand.value - closed_form) <= 1e-8
-                cert = dual_certificate(k, params)
-                assert abs(float(cert.beta.sum()) - closed_form) <= 1e-12
+                beta = dual_certificate(k, params)
+                assert abs(float(beta.sum()) - closed_form) <= 1e-12
                 assert check_dual_feasibility(k, params).feasible
         assert time.perf_counter() - start < 10.0
 

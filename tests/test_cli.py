@@ -667,6 +667,25 @@ class TestEstimate:
                              "--synthetic")
         assert code == EXIT_USAGE
 
+    def test_empty_data_file_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("\n  \n")
+        monkeypatch.setattr(cli, "estimate", _no_work)
+        code, out, err = run_cli(capsys, "estimate", "--epsilon", "1", "--seed", "1",
+                                 "--input", str(path))
+        assert_one_line_usage_error(code, err)
+        assert "no data values" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_non_positive_n_is_usage_error(self, monkeypatch, capsys, n):
+        monkeypatch.setattr(cli, "synthetic_sample", _no_work)
+        code, out, err = run_cli(capsys, "estimate", "--epsilon", "1", "--seed", "1",
+                                 "--synthetic", "--n", n)
+        assert_one_line_usage_error(code, err)
+        assert "--n must be >= 1" in err
+        assert out == ""
+
     def test_tiny_sigma_far_from_zero_is_finite(self, capsys):
         # theta0 / sigma would overflow; each stage inverts in data units instead
         code, out, err = run_cli(capsys, "estimate", "--epsilon", "1", "--seed", "1",

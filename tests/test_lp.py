@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import ldpmean.lp as lp_module
+import ldpmean.quantized as quantized_module
 from ldpmean.lp import (
-    DualCertificate,
     build_staircase_lp,
     certificate_margin,
     certificate_margin_lower,
@@ -55,7 +55,7 @@ def enumerated_worst_slack(k, params):
     (S_col . 1) on each.
     """
     model = build_quantized_model(k)
-    beta = dual_certificate(k, params).beta
+    beta = dual_certificate(k, params)
     js = np.arange(1 << k, dtype=np.int64)
     bits = (js[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1
     cols = bits * (math.exp(params.epsilon) - 1.0) + 1.0
@@ -67,7 +67,7 @@ def direct_slack(column, k, params):
     """Certificate slack of one column word, evaluated from its bits."""
     bits = np.array([(column >> (k - 1 - i)) & 1 for i in range(k)])
     col = bits * (math.exp(params.epsilon) - 1.0) + 1.0
-    beta = dual_certificate(k, params).beta
+    beta = dual_certificate(k, params)
     return float(col @ beta) - row_information(col, build_quantized_model(k))
 
 
@@ -103,7 +103,8 @@ class TestBuildStaircase:
     @pytest.mark.parametrize("k", [2, 4, 6, 8])
     def test_mu_vector_matches_scalar_form(self, k):
         lp = build_staircase_lp(k, privacy_params(0.9))
-        each = [row_information(lp.S[:, j], lp.model) for j in range(2 ** k)]
+        model = build_quantized_model(k)
+        each = [row_information(lp.S[:, j], model) for j in range(2 ** k)]
         assert np.allclose(lp.mu_vec, each, atol=1e-15)
 
     @pytest.mark.parametrize("eps", [1e-12, 0.5, 3.0])
@@ -326,22 +327,23 @@ class TestMechanismFromSolution:
 
 class TestDualCertificate:
     def test_level_two_closed_form(self):
-        cert = dual_certificate(2, privacy_params(1.0))
-        assert np.allclose(cert.beta, [0.0679758, 0.0679758], atol=1e-7)
-        assert cert.beta.sum() == pytest.approx(0.1359516, abs=1e-7)
+        beta = dual_certificate(2, privacy_params(1.0))
+        assert np.allclose(beta, [0.0679758, 0.0679758], atol=1e-7)
+        assert beta.sum() == pytest.approx(0.1359516, abs=1e-7)
+        assert not beta.flags.writeable
 
     @pytest.mark.parametrize("k", [2, 4, 10, 16])
     @pytest.mark.parametrize("eps", [0.1, 1.0, 1.04])
     def test_sum_is_sign_information(self, k, eps):
         params = privacy_params(eps)
-        cert = dual_certificate(k, params)
-        assert cert.beta.sum() == pytest.approx(
+        beta = dual_certificate(k, params)
+        assert beta.sum() == pytest.approx(
             (2 / math.pi) * params.t_eps ** 2, abs=1e-12)
 
     def test_symmetry_exact(self):
-        cert = dual_certificate(4, privacy_params(1.0))
-        assert cert.beta[0] == cert.beta[3]
-        assert cert.beta[1] == cert.beta[2]
+        beta = dual_certificate(4, privacy_params(1.0))
+        assert beta[0] == beta[3]
+        assert beta[1] == beta[2]
 
     def test_odd_level_rejected(self):
         with pytest.raises(ValueError):
@@ -356,9 +358,9 @@ class TestDualFeasibility:
 
     def test_all_ones_column_has_positive_slack(self):
         params = privacy_params(1.0)
-        cert = dual_certificate(2, params)
+        beta = dual_certificate(2, params)
         # column (1, 1) contributes no information, so its slack is the sum
-        assert cert.beta.sum() > 0.0
+        assert beta.sum() > 0.0
 
     def test_infeasible_at_large_budget(self):
         report = check_dual_feasibility(8, privacy_params(3.0))
@@ -371,10 +373,10 @@ class TestDualFeasibility:
         k = 6
         report = check_dual_feasibility(k, params)
         model = build_quantized_model(k)
-        cert = dual_certificate(k, params)
+        beta = dual_certificate(k, params)
         bits = np.array([(report.worst_column >> (k - 1 - i)) & 1 for i in range(k)])
         col = bits * (math.exp(3.0) - 1.0) + 1.0
-        slack = float(col @ cert.beta) - row_information(col, model)
+        slack = float(col @ beta) - row_information(col, model)
         assert slack == pytest.approx(report.worst_slack, abs=1e-12)
 
     @pytest.mark.parametrize("k", range(2, 17, 2))
@@ -404,9 +406,9 @@ class TestDualFeasibility:
     @pytest.mark.parametrize("eps", [1e-4, 1e-10])
     def test_scaled_down_certificate_is_infeasible_at_small_budgets(self, monkeypatch, eps):
         # slacks scale like t^2, so an absolute bound passes any shortfall at small eps
-        certificate = lp_module._certificate
-        monkeypatch.setattr(lp_module, "_certificate", lambda model, params: DualCertificate(
-            beta=certificate(model, params).beta * (1 - 1e-3)))
+        certificate = lp_module.dual_certificate
+        monkeypatch.setattr(lp_module, "dual_certificate",
+                            lambda k, params: certificate(k, params) * (1 - 1e-3))
         report = check_dual_feasibility(8, privacy_params(eps))
         assert not report.feasible
         assert report.worst_slack < 0.0
@@ -425,7 +427,7 @@ class TestDualFeasibility:
             for eps in (1e-12, 1e-10, 1e-6, 0.5, 3.0):
                 params = privacy_params(eps)
                 report = check_dual_feasibility(k, params)
-                beta = dual_certificate(k, params).beta
+                beta = dual_certificate(k, params)
                 s = mpmath.expm1(mpmath.mpf(eps))
                 col = [1 + s * ((report.worst_column >> (k - 1 - i)) & 1) for i in range(k)]
                 dot = mpmath.fsum(c * mpmath.mpf(y) for c, y in zip(col, model.y))
@@ -506,7 +508,7 @@ class TestWeakDualityChain:
         lp = build_staircase_lp(k, params)
         cand = sign_candidate(lp).value
         primal = solve_primal(lp).value
-        dual = float(dual_certificate(k, params).beta.sum())
+        dual = float(dual_certificate(k, params).sum())
         closed_form = (2 / math.pi) * params.t_eps ** 2
         assert cand <= primal + 1e-9
         assert primal <= dual + 1e-8
@@ -521,21 +523,23 @@ class TestWeakDualityChain:
 
     @pytest.mark.parametrize("k, eps", [(6, 1.0), (8, 3.0)])
     def test_one_model_per_chain(self, monkeypatch, k, eps):
-        builds = []
+        # each model built calls the quantile k/2 - 1 times; the cache serves the rest
+        quantile = quantized_module.std_normal_quantile
+        calls = []
 
-        def counting_build(level):
-            builds.append(level)
-            return build_quantized_model(level)
+        def counting_quantile(p):
+            calls.append(p)
+            return quantile(p)
 
-        monkeypatch.setattr(lp_module, "build_quantized_model", counting_build)
+        build_quantized_model.cache_clear()
+        monkeypatch.setattr(quantized_module, "std_normal_quantile", counting_quantile)
         params = privacy_params(eps)
         report = equality_chain(k, params)
-        assert builds == [k]
         sweep = check_dual_feasibility(k, params)
-        assert builds == [k, k]
+        assert len(calls) == k // 2 - 1
         assert (report["feasible"], report["worst_slack"], report["worst_column"]) == (
             sweep.feasible, sweep.worst_slack, sweep.worst_column)
-        assert report["dual_value"] == float(dual_certificate(k, params).beta.sum())
+        assert report["dual_value"] == float(dual_certificate(k, params).sum())
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0])
     def test_nan_or_negative_tol_rejected(self, tol):

@@ -5,7 +5,8 @@
 ``lp.dual_certificate``.  A refactor that drops one of those names breaks
 every traced pass, so installing the tracer must keep working.  It also
 replaces ``sim.np`` and the process pool, so a traced run must give the
-untraced run's results.
+untraced run's results.  ``lp.equality_chain`` calls its steps by their
+module-level names, so a traced chain records a span for each of them.
 """
 
 import subprocess
@@ -46,3 +47,24 @@ def test_traced_pool_run_matches_the_untraced_run():
     proc = subprocess.run([sys.executable, "-c", TRACED_RUN], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_CHAIN = """\
+import sys
+sys.path[:0] = ["perfbench", "src"]
+import layertrace
+import ldpmean.lp as lp
+from ldpmean.mechanisms import privacy_params
+tracer = layertrace.Tracer(0)
+layertrace.install(tracer)
+assert lp.equality_chain(8, privacy_params(1.0))["chain_holds"]
+print(" ".join(sorted({span[2] for span in tracer.spans})))
+"""
+
+
+def test_traced_chain_records_every_step():
+    proc = subprocess.run([sys.executable, "-c", TRACED_CHAIN], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = set(proc.stdout.split())
+    assert {"lp.build", "lp.simplex", "lp.cert", "lp.sweep"} <= names, names
