@@ -225,13 +225,18 @@ def one_stage_asymptotic_variance(theta: float, theta0: float,
     theta0 = theta and deteriorates exponentially as the guess drifts;
     depends on the arguments only through |d|.  Infinite at t_eps = 0
     and once pdf(d)^2 underflows to 0 (|d| above about 27.3).
+
+    The numerator is the product (1 - t b)(1 + t b), b = 1 - 2 Phi(-|d|),
+    with 1 - t b = 2 e^-eps / (1 + e^-eps) + 2 t Phi(-|d|), so it keeps
+    its digits as t b nears 1 (large budgets, far guesses).
     """
     t = params.t_eps
     if t == 0.0:
         return math.inf
     d = (theta - theta0) / sigma
-    bias_factor = 1.0 - 2.0 * std_normal_cdf(-d)
-    num = 1.0 - t * t * bias_factor * bias_factor
+    tail = std_normal_cdf(-abs(d))
+    e = math.exp(-params.epsilon)
+    num = (2.0 * e / (1.0 + e) + 2.0 * t * tail) * (1.0 + t * (1.0 - 2.0 * tail))
     den = std_normal_pdf(d) ** 2
     if den == 0.0:
         return math.inf

@@ -87,7 +87,7 @@ def row_information(v, model: QuantizedModel) -> float:
     vec = np.asarray(v, dtype=float)
     if vec.shape != (model.k,):
         raise ValueError(f"weight vector must have length {model.k}, got shape {vec.shape}")
-    if np.any(vec < 0.0):
+    if not np.all(vec >= 0.0):
         raise ValueError("weight vector must be componentwise nonnegative")
     return float(row_information_many(vec[:, None], model)[0])
 
@@ -95,17 +95,19 @@ def row_information(v, model: QuantizedModel) -> float:
 def fisher_info_quantized(Q, model: QuantizedModel) -> float:
     """Fisher information about the mean released by channel ``Q``.
 
-    ``Q`` is an (m, k) column-stochastic matrix acting on the k quantizer
-    cells; m may be smaller than k when all-zero output rows were
-    dropped.  The value is the sum of ``row_information_many`` over the
-    rows of Q, so all-zero rows contribute 0.  It does not depend on the
-    true mean, so no location argument exists.
+    ``Q`` is an (m, k) nonnegative, column-stochastic matrix acting on the
+    k quantizer cells (a negative or NaN entry is a ValueError); m may be
+    smaller than k when all-zero output rows were dropped.  The value is
+    the sum of ``row_information_many`` over the rows of Q, so all-zero
+    rows contribute 0.  It does not depend on the true mean, so no
+    location argument exists.
     """
     mat = np.asarray(Q, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != model.k:
         raise ValueError(f"channel must be 2-d with {model.k} columns, got shape {mat.shape}")
-    col_sums = mat.sum(axis=0)
-    if np.any(np.abs(col_sums - 1.0) > 1e-6):
+    if not np.all(mat >= 0.0):
+        raise ValueError("channel matrix must be entrywise nonnegative")
+    if not np.all(np.abs(mat.sum(axis=0) - 1.0) <= 1e-6):
         raise ValueError("channel matrix must be column-stochastic")
     return float(row_information_many(mat.T, model).sum())
 

@@ -123,6 +123,22 @@ class TestOneStageVariance:
     def test_zero_budget_infinite(self):
         assert one_stage_asymptotic_variance(0.0, 0.0, privacy_params(0.0)) == math.inf
 
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0, 30.0, 38.0, 40.0, math.inf])
+    def test_against_mpmath(self, eps):
+        # The numerator 1 - t^2 (1 - 2 Phi(-d))^2 cancels near t_eps = 1; the
+        # oracle evaluates it as written, with digits enough for 1 - b^2 ~ 1e-150.
+        mpmath = pytest.importorskip("mpmath")
+        params = privacy_params(eps)
+        with mpmath.workdps(350):
+            t = mpmath.mpf(1) if eps == math.inf else mpmath.tanh(mpmath.mpf(eps) / 2)
+            for d in np.arange(0.0, 26.01, 0.25):
+                x = mpmath.mpf(float(d))
+                b = mpmath.erf(x / mpmath.sqrt(2))
+                pdf = mpmath.npdf(x)
+                exact = (1 - t * t * b * b) / (4 * t * t * pdf * pdf)
+                value = one_stage_asymptotic_variance(float(d), 0.0, params)
+                assert abs(mpmath.mpf(value) / exact - 1) <= 1e-12, (eps, d, value)
+
 
 class TestTwoStage:
     def test_clamped_pilot_falls_back_to_guess(self):

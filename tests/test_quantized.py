@@ -84,6 +84,10 @@ class TestRowInformation:
         with pytest.raises(ValueError):
             row_information(np.ones(3), model)
 
+    def test_nan_weight_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            row_information(np.array([1.0, math.nan, 0.0, 0.0]), build_quantized_model(4))
+
     def test_vectorized_agrees(self):
         model = build_quantized_model(6)
         rng = np.random.default_rng(11)
@@ -140,6 +144,14 @@ class TestFisherInfo:
             fisher_info_quantized(np.eye(3), model)
         with pytest.raises(ValueError):
             fisher_info_quantized(np.full((4, 4), 0.3), model)
+
+    @pytest.mark.parametrize("channel", [
+        [[1.5, 1.0, 0.0, 0.0], [-0.5, 0.0, 1.0, 1.0]],  # would give 1.33 > 1
+        [[math.nan, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
+    ])
+    def test_negative_or_nan_entry_is_rejected(self, channel):
+        with pytest.raises(ValueError):
+            fisher_info_quantized(np.array(channel), build_quantized_model(4))
 
     def test_no_location_argument(self):
         # information is location-free by construction
