@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .estimators import ESTIMATOR_KINDS, EstimatorConfig, estimate, optimal_asymptotic_variance
-from .lp import CHAIN_TOL, MAX_SOLVE_K, equality_chain
+from .lp import MAX_SOLVE_K, equality_chain
 from .mechanisms import privacy_params
 from .quantized import build_quantized_model, embed_sign_channel, fisher_info_quantized, sign_fisher_info
 from .sim import BudgetError, ExperimentConfig, results_to_csv, run_experiment, synthetic_sample
@@ -197,7 +197,7 @@ def _cmd_fisher(args) -> int:
 
 def _cmd_lp_verify(args) -> int:
     params = privacy_params(args.epsilon)
-    report = equality_chain(args.k, params, tol=args.tol)
+    report = equality_chain(args.k, params)
     holds = report.pop("chain_holds")
     _emit(report)
     return EXIT_OK if holds else EXIT_VERIFY
@@ -306,8 +306,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True,
                    help=f"even quantizer level, 2..{MAX_SOLVE_K}")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--tol", type=float, default=CHAIN_TOL,
-                   help="largest gap of each value from (2/pi) t_eps^2, relative to it")
     p.set_defaults(func=_cmd_lp_verify)
 
     p = sub.add_parser("simulate", help="run a Monte Carlo config, write CSV + manifest")

@@ -25,6 +25,10 @@ The certificate itself stays feasible well beyond that proven bound: its
 threshold is about eps = 1.98 at k = 8 and falls to about 1.71 for
 k >= 1024.  Above it the sweep reports a column with negative slack.
 
+Every verdict is one rule, ``_agree``: the chain's three values must each
+match (2/pi) t_eps^2, and the sweep's worst column its own two terms, to
+within ROUND_OFF (1e-9) of the larger magnitude or the smallest normal double.
+
 Budgets whose staircase arithmetic would overflow float64, that is with
 k e^(2 eps) beyond the largest double (eps above about 354.9 - ln(k) / 2,
 and inf), are rejected with ValueError.
@@ -48,8 +52,7 @@ from .quantized import row_information_many  # noqa: F401
 
 MAX_SOLVE_K = 12          # simplex over the materialized 2^k columns
 _SWEEP_BLOCK = 1 << 18    # corner slacks evaluated per block of the sweep grid
-_SWEEP_TOL = 1e-9         # slack a feasible certificate may fall below zero, over (2/pi) t^2
-CHAIN_TOL = 1e-8          # relative gap the equality chain allows each value
+ROUND_OFF = 1e-9          # relative gap that every comparison of lp-verify forgives
 
 
 @dataclass(frozen=True)
@@ -125,10 +128,10 @@ def _column_bits(js: np.ndarray, k: int) -> np.ndarray:
     return ((js[None, :] >> shifts[:, None]) & 1).astype(float)
 
 
-def _check_tol(tol: float) -> None:
-    """A NaN or negative tolerance would turn every check into a failure."""
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
+def _agree(a: float, b: float) -> bool:
+    """Whether a and b differ by round-off: ROUND_OFF * max(|a|, |b|) or the smallest normal."""
+    gap = abs(a - b)
+    return bool(gap <= ROUND_OFF * max(abs(a), abs(b)) or gap < np.finfo(float).tiny)
 
 
 def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
@@ -264,8 +267,7 @@ def dual_certificate(k: int, params: PrivacyParams) -> np.ndarray:
     return beta
 
 
-def check_dual_feasibility(k: int, params: PrivacyParams,
-                           tol: float = _SWEEP_TOL) -> DualFeasibilityReport:
+def check_dual_feasibility(k: int, params: PrivacyParams) -> DualFeasibilityReport:
     """Exact minimum slack of the certificate over all 2^k staircase columns.
 
     With ones on the index set B, a column's slack (S_col . beta) -
@@ -277,11 +279,10 @@ def check_dual_feasibility(k: int, params: PrivacyParams,
     half.  The sweep evaluates those (k/2 + 1)^2 * 4 corners from prefix
     sums, a block of m1 rows at a time, then rebuilds the worst corner as
     its column word and reports that column's directly evaluated slack.
-    The certificate is feasible when that slack falls below zero by at
-    most ``tol`` times (2/pi) t_eps^2, which slacks scale like, or by less
-    than the smallest normal double.
+    The certificate is feasible when that slack is >= 0 or its two terms,
+    S_col . beta and the information, agree (``_agree``): both grow like
+    s = e^eps - 1, and so does their round-off.
     """
-    _check_tol(tol)
     beta = dual_certificate(k, params)
     model = build_quantized_model(k)
     scale = _staircase_step(params, k)
@@ -326,12 +327,11 @@ def check_dual_feasibility(k: int, params: PrivacyParams,
     # The column 1 + s * bits in bit form: 1 + s would drop the digits of s.
     dot = scale * float(bits @ model.y)
     info = k * dot * dot / (k + scale * (m1 + m2))
-    worst_slack = float(beta.sum()) + scale * float(bits @ beta) - info
+    weight = float(beta.sum()) + scale * float(bits @ beta)
+    worst_slack = weight - info
     worst_column = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-k % 8)
-    return DualFeasibilityReport(
-        feasible=bool(-worst_slack <= tol * sign_fisher_info(params)
-                      or -worst_slack < np.finfo(float).tiny),
-        worst_slack=worst_slack, worst_column=worst_column)
+    return DualFeasibilityReport(feasible=worst_slack >= 0.0 or _agree(weight, info),
+                                 worst_slack=worst_slack, worst_column=worst_column)
 
 
 def certificate_margin(a1, a2, x, y, t):
@@ -377,27 +377,22 @@ def interior_stationarity(a, b, t):
     return val
 
 
-def equality_chain(k: int, params: PrivacyParams, tol: float = CHAIN_TOL) -> dict:
+def equality_chain(k: int, params: PrivacyParams) -> dict:
     """Run build -> solve -> candidate -> certificate -> sweep and report.
 
-    The chain holds when the candidate value, the primal optimum and the
-    certificate sum all coincide with (2/pi) t_eps^2 within ``tol``
-    relative to it (the values shrink like eps^2), or within the smallest
-    normal double, and the certificate is feasible.  Keys match the JSON
-    report emitted by the command-line front end.  A NaN or negative
-    ``tol`` is a ValueError.
+    The chain holds when the certificate is feasible and the candidate
+    value, the primal optimum and the certificate sum each agree with
+    (2/pi) t_eps^2 (``_agree``).  Keys match the JSON report emitted by
+    the command-line front end.
     """
-    _check_tol(tol)
     lp = build_staircase_lp(k, params)
     primal = solve_primal(lp)
     candidate = sign_candidate(lp)
     dual_value = float(dual_certificate(k, params).sum())
     sweep = check_dual_feasibility(k, params)
     closed_form = sign_fisher_info(params)
-    holds = sweep.feasible and all(
-        abs(value - closed_form) <= tol * closed_form
-        or abs(value - closed_form) < np.finfo(float).tiny
-        for value in (primal.value, candidate.value, dual_value))
+    holds = sweep.feasible and all(_agree(value, closed_form)
+                                   for value in (primal.value, candidate.value, dual_value))
     return {
         "k": k,
         "epsilon": params.epsilon,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -190,6 +191,8 @@ def _point_setup(config: ExperimentConfig, value: float):
         est["theta0"] = float(value)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > sys.float_info.max:  # a config n; a sweep value is a finite float
+        raise ValueError(f"n has {len(str(n))} digits, beyond the float64 range")
     theta_n = config.theta_true + config.h_over_sqrt_n / math.sqrt(n)
     if not math.isfinite(theta_n):
         raise ValueError(f"theta_true + h / sqrt(n) overflows at n = {n}")

@@ -212,14 +212,13 @@ class TestLpVerify:
         assert out == ""
         assert "epsilon" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
-    def test_nan_or_negative_tol_usage_error(self, capsys, tol):
-        code, out, err = run_cli(capsys, "lp-verify", "--k", "4", "--epsilon", "1",
-                                 f"--tol={tol}")
-        assert_one_line_usage_error(code, err)
-        assert out == ""
-        assert "tolerance" in err
-
+    @pytest.mark.parametrize("eps", ["17", "20", "30", "40", "60", "100", "350"])
+    def test_sign_bit_certificate_holds_at_large_budgets(self, capsys, eps):
+        # at k = 2 the sign bit is the only non-trivial channel and its certificate is
+        # tight; the slack's round-off grows like e^eps, not like (2/pi) t_eps^2
+        code, out, _ = run_cli(capsys, "lp-verify", "--k", "2", "--epsilon", eps)
+        assert code == EXIT_OK
+        assert json.loads(out)["feasible"] is True
 
     def test_chain_gap_is_relative(self, capsys, monkeypatch):
         # at eps = 1e-4 every value is about 1.6e-9, under the absolute gap of 1e-8
@@ -466,6 +465,30 @@ class TestSimulate:
         assert_one_line_usage_error(code, err)
         assert "replicates" in err
         assert not out.exists()
+
+    def test_empty_sweep_list_is_usage_error(self, tmp_path, capsys):
+        text = SMALL_CFG.replace("sweep_values = 40,80", "sweep_values = ,")
+        code, err, out = simulate_text(capsys, tmp_path, text)
+        assert_one_line_usage_error(code, err)
+        assert "empty list" in err
+        assert not out.exists()
+
+    def test_sample_size_beyond_float_range_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "_run_block", _no_work)
+        text = SMALL_CFG.replace("n = 1500", f"n = {10 ** 400}")
+        code, err, out = simulate_text(capsys, tmp_path, text)
+        assert_one_line_usage_error(code, err)
+        assert "float64" in err
+        assert not out.exists()
+
+    def test_one_stage_theory_overflows_to_inf_at_tiny_budget(self, tmp_path, capsys):
+        # the exact one-stage variance, about 6.3e600, exceeds the largest double
+        text = ("kind = two\nepsilon = 1e-300\ntheta_true = 0\nn = 100\nn1 = 10\n"
+                "replicates = 2\nsweep = theta0\nsweep_values = 0\n")
+        code, err, out = simulate_text(capsys, tmp_path, text)
+        assert code == EXIT_OK, err
+        lines = out.read_text().splitlines()
+        assert dict(zip(lines[0].split(","), lines[1].split(",")))["theory_one_stage"] == "inf"
 
     def test_square_of_sigma_underflows(self, tmp_path, capsys):
         code, err, out = simulate_text(capsys, tmp_path, SMALL_CFG + "sigma = 1e-200\n",

@@ -88,6 +88,10 @@ class TestRowInformation:
         with pytest.raises(ValueError, match="nonnegative"):
             row_information(np.array([1.0, math.nan, 0.0, 0.0]), build_quantized_model(4))
 
+    def test_vectorized_rejects_a_wrong_level(self):
+        with pytest.raises(ValueError, match="expected shape"):
+            row_information_many(np.ones((5, 3)), build_quantized_model(4))
+
     def test_vectorized_agrees(self):
         model = build_quantized_model(6)
         rng = np.random.default_rng(11)
