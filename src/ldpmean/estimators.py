@@ -219,13 +219,14 @@ def one_stage_asymptotic_variance(theta: float, theta0: float,
                                   params: PrivacyParams, sigma: float = 1.0) -> float:
     """Delta-method variance of the one-stage estimator for known scale ``sigma``.
 
-    sigma^2 times the unit-scale variance at the scaled distance d =
-    (theta - theta0) / sigma, which is (1/4) (1/t_eps)^2 * (1 - t_eps^2
-    (1 - 2 Phi(-d))^2) / pdf(d)^2.  Matches the optimal variance at
-    theta0 = theta and deteriorates exponentially as the guess drifts;
-    depends on the arguments only through |d|.  Infinite once t_eps^2
-    pdf(d)^2 underflows to 0: at t_eps = 0, for |d| above about 27.3 and
-    for eps below about 8e-162, where the exact value exceeds any double.
+    (1/4) (1 - t_eps^2 (1 - 2 Phi(-d))^2) r^2 at the scaled distance d =
+    (theta - theta0) / sigma, with r = sigma / (t_eps pdf(d)), so a small
+    sigma never meets an overflowing unit-scale value as 0 * inf.  Matches
+    the optimal variance at theta0 = theta and deteriorates exponentially
+    as the guess drifts.  Infinite once t_eps pdf(d) underflows to 0 (at
+    t_eps = 0, for |d| above about 38.5, for eps below about 1e-323) and
+    where e^-eps and Phi(-|d|) both underflow (eps above about 745, |d|
+    above about 38.5); fewer digits where t_eps pdf(d) is subnormal.
 
     The numerator is the product (1 - t b)(1 + t b), b = 1 - 2 Phi(-|d|),
     with 1 - t b = 2 e^-eps / (1 + e^-eps) + 2 t Phi(-|d|), so it keeps
@@ -236,10 +237,11 @@ def one_stage_asymptotic_variance(theta: float, theta0: float,
     tail = std_normal_cdf(-abs(d))
     e = math.exp(-params.epsilon)
     num = (2.0 * e / (1.0 + e) + 2.0 * t * tail) * (1.0 + t * (1.0 - 2.0 * tail))
-    den = t * t * std_normal_pdf(d) ** 2
-    if den == 0.0:
+    scale = t * std_normal_pdf(d)
+    if scale == 0.0 or num == 0.0:
         return math.inf
-    return sigma * sigma * (0.25 * num / den)
+    r = sigma / scale
+    return 0.25 * num * r * r  # left to right: r * r alone may overflow where the value does not
 
 
 def optimal_asymptotic_variance(params: PrivacyParams, sigma: float = 1.0) -> float:

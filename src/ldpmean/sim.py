@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -39,8 +40,7 @@ from .estimators import one_stage, rescaled_estimate, three_stage, two_stage  # 
 from .mechanisms import privacy_params
 
 SWEEP_NAMES = ("n1", "theta0", "n")
-_BOOTSTRAP_BLOCK = 64  # resamples drawn per index matrix
-_BLOCK_ELEMS = 2 ** 16  # samples per block of replicates run through one stage loop
+_BLOCK_ELEMS = 2 ** 16  # samples per replicate block, and indices per bootstrap block
 _STAGE_REACH = 77.0  # sigmas two stages can move an estimate from its first center
 
 # numpy's SeedSequence hash and PCG64 seeding, for _replicate_states
@@ -281,23 +281,35 @@ def bootstrap_ci(values, level: float = 0.95, resamples: int = 1000, *,
                  rng: np.random.Generator) -> tuple[float, float]:
     """Percentile bootstrap interval for the mean of ``values``.
 
-    Resampling happens at the entry (replicate) level.  Identical inputs
-    give a zero-width interval; fewer than two entries are an error.
+    Resampling happens at the entry (replicate) level.  ``values`` must be
+    1-D and finite with at least two entries, and ``resamples`` an integer
+    >= 1, or this raises ValueError.  Identical inputs give a zero-width
+    interval.
+
+    Each ``rng.integers`` call draws max(1, 2**16 // n) resamples of the n
+    entries, about 2**16 indices.  The split cannot change the result:
+    numpy draws an index below 2**32 from 32 bits and PCG64 keeps the spare
+    half of a 64-bit word for the next call, so every split draws the same
+    indices, and each mean is the same pairwise sum over one row.
     """
-    vals = np.asarray(values, dtype=float)
-    if vals.size < 2:
-        raise ValueError("bootstrap needs at least two values")
+    if not isinstance(resamples, numbers.Integral) or resamples < 1:
+        raise ValueError(f"resamples must be an integer >= 1, got {resamples!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level!r}")
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or vals.size < 2:
+        raise ValueError(f"bootstrap needs two or more values in 1-D, got shape {vals.shape}")
+    if not np.isfinite(vals).all():
+        raise ValueError("bootstrap values must be finite")
     if vals.min() == vals.max():
         v = float(vals[0])
         return v, v
     means = np.empty(resamples)
     n = vals.size
-    for start in range(0, resamples, _BOOTSTRAP_BLOCK):
-        stop = min(start + _BOOTSTRAP_BLOCK, resamples)
-        idx = rng.integers(0, n, size=(stop - start, n))
-        means[start:stop] = vals[idx].mean(axis=1)
+    rows = max(1, _BLOCK_ELEMS // n)
+    for start in range(0, resamples, rows):
+        idx = rng.integers(0, n, size=(min(rows, resamples - start), n))
+        means[start:start + rows] = vals[idx].mean(axis=1)
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(means, [tail, 1.0 - tail])
     return float(lo), float(hi)

@@ -490,6 +490,18 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert dict(zip(lines[0].split(","), lines[1].split(",")))["theory_one_stage"] == "inf"
 
+    def test_one_stage_theory_stays_finite_at_tiny_sigma(self, tmp_path, capsys):
+        # the unit-scale variance overflows and sigma^2 underflows; a 100-digit
+        # mpmath value of the scaled variance is 2.40575e-90
+        text = ("kind = two\nepsilon = 1e-8\ntheta_true = 26e-200\nsigma = 1e-200\n"
+                "theta0 = 0\nn = 100\nn1 = 10\nreplicates = 2\nsweep = theta0\n"
+                "sweep_values = 0\n")
+        code, err, out = simulate_text(capsys, tmp_path, text)
+        assert code == EXIT_OK, err
+        lines = out.read_text().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert float(row["theory_one_stage"]) == pytest.approx(2.40575e-90, rel=1e-6)
+
     def test_square_of_sigma_underflows(self, tmp_path, capsys):
         code, err, out = simulate_text(capsys, tmp_path, SMALL_CFG + "sigma = 1e-200\n",
                                        "--replicates", "4")

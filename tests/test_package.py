@@ -1,7 +1,8 @@
 """Each public name has one import path, ``ldpmean.<module>.<name>``.
 
 The package itself exports only ``__version__``, so importing the LP half
-of the paper (``ldpmean.lp``) loads none of the Monte Carlo half.
+of the paper (``ldpmean.lp``) loads none of the Monte Carlo half.  The
+package runs on numpy and the standard library alone.
 """
 
 import json
@@ -43,3 +44,42 @@ def test_package_exports_only_version_and_submodules():
     report = _probe()
     assert report["not_submodules"] == []
     assert isinstance(report["version"], str)
+
+
+NUMPY_ONLY = """\
+import importlib.abc, sys
+BLOCKED = {"scipy", "mpmath", "hypothesis"}
+
+class Blocker(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in BLOCKED:
+            raise ModuleNotFoundError(f"{name} is blocked", name=name)
+        return None
+
+sys.meta_path.insert(0, Blocker())
+try:
+    import scipy
+except ModuleNotFoundError:
+    pass
+else:
+    sys.exit("the blocker let scipy in")
+sys.path.insert(0, sys.argv[1])
+from ldpmean.cli import main
+out = sys.argv[2]
+runs = [["lp-verify", "--k", "8", "--epsilon", "1"],
+        ["fisher", "--epsilon", "1", "--k", "8"],
+        ["estimate", "--synthetic", "--n", "2000", "--epsilon", "1", "--seed", "3"],
+        ["simulate", sys.argv[1] + "/ldpmean/configs/fig1_left.cfg", "--seed", "1",
+         "--replicates", "2", "--output", out]]
+codes = [main(argv) for argv in runs]
+print(codes, file=sys.stderr)
+sys.exit(any(codes))
+"""
+
+
+def test_runs_without_scipy_mpmath_or_hypothesis(tmp_path):
+    out = tmp_path / "fig1_left.csv"
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY, str(SRC), str(out)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().count("\n") == 7  # header and six sweep points

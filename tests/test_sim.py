@@ -127,6 +127,47 @@ class TestBootstrap:
         b = bootstrap_ci(values, rng=np.random.default_rng(7))
         assert a == b
 
+    @pytest.mark.parametrize("values, kwargs", [
+        pytest.param([1.0, 2.0], dict(resamples=0), id="no-resamples"),
+        pytest.param([1.0, 2.0], dict(resamples=-3), id="negative-resamples"),
+        pytest.param([1.0, 2.0], dict(resamples=2.5), id="fractional-resamples"),
+        pytest.param([[1.0, 2.0], [3.0, 4.0]], {}, id="two-dimensional"),
+        pytest.param([1.0, math.nan, 2.0], {}, id="nan-value"),
+        pytest.param([1.0, math.inf], {}, id="infinite-value"),
+    ])
+    def test_bad_input_is_value_error(self, values, kwargs):
+        with pytest.raises(ValueError):
+            bootstrap_ci(values, rng=np.random.default_rng(0), **kwargs)
+
+    @pytest.mark.parametrize("n", [2, 3, 9999, 10_000, 65_537])
+    def test_index_blocks_match_one_resample_per_call(self, monkeypatch, n):
+        # numpy draws each index from 32 bits and PCG64 buffers the spare half of a
+        # word, so no split of the resamples into calls can change the stream;
+        # resamples * n stays at or below 2**21 to keep the single-block case small
+        values = np.random.default_rng(n).exponential(size=n)
+        resamples = min(1000, 2 ** 21 // n)
+        reference_rng = np.random.default_rng(5)
+        means = [values[reference_rng.integers(0, n, size=n)].mean() for _ in range(resamples)]
+        expected = tuple(np.quantile(means, [0.025, 0.975]).tolist())
+        for block in [1, 2 ** 16, 2 ** 30]:
+            monkeypatch.setattr(sim, "_BLOCK_ELEMS", block)
+            rng = np.random.default_rng(5)
+            assert bootstrap_ci(values, resamples=resamples, rng=rng) == expected, block
+            assert rng.bit_generator.state == reference_rng.bit_generator.state, block
+
+    @pytest.mark.parametrize("n", [10_000, 50_000])
+    def test_index_block_memory_is_bounded(self, n):
+        # an index block holds about 2**16 indices (one resample when n is larger);
+        # a block sized by the resample count alone grows with n and fails here
+        values = np.random.default_rng(4).exponential(size=n)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(values, resamples=1000, rng=np.random.default_rng(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 16 * 8 + values.nbytes
+
 
 class TestTheoreticalReference:
     """The CSV's theory columns: the variance functions, called directly."""
@@ -154,16 +195,29 @@ class TestTheoreticalReference:
         params = privacy_params(1.0)
         assert optimal_asymptotic_variance(params, 2.0) == pytest.approx(
             4.0 * optimal_asymptotic_variance(params), rel=1e-12)
-        # sigma^2 times the unit-scale value at the scaled distance, in that order
+        # sigma^2 times the unit-scale value at the scaled distance, up to round-off
         for theta, theta0, sigma in [(2.0, 3.0, 2.0), (0.3, -1.1, 3.0), (5.0, 4.2, 0.7)]:
-            assert one_stage_asymptotic_variance(theta, theta0, params, sigma) == (
+            assert one_stage_asymptotic_variance(theta, theta0, params, sigma) == pytest.approx(
                 sigma * sigma * one_stage_asymptotic_variance((theta - theta0) / sigma, 0.0,
-                                                              params))
+                                                              params), rel=1e-15)
 
     def test_tiny_sigma_far_from_zero(self):
         # theta / sigma and theta0 / sigma would both overflow; their distance does not
         params = privacy_params(1.0)
         assert one_stage_asymptotic_variance(1e200, 1e200, params, 1e-200) == 0.0
+
+    def test_small_sigma_keeps_a_finite_value(self):
+        # the unit-scale value overflows and sigma^2 underflows; the scaled value is
+        # finite (2.40575e-90 by 100-digit mpmath)
+        value = one_stage_asymptotic_variance(26e-200, 0.0, privacy_params(1e-8), 1e-200)
+        assert value == pytest.approx(2.4057452387982172e-90, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [800.0, math.inf])
+    def test_no_nan_where_the_tail_underflows(self, eps):
+        # e^-eps is 0 and Phi(-|d|) underflows at |d| = 38.48, before pdf(d) does at 38.6:
+        # there the numerator is 0 and r overflows, yet the exact value is above any double
+        for d in [38.3, 38.47, 38.5, 38.55, 38.6]:
+            assert one_stage_asymptotic_variance(d, 0.0, privacy_params(eps)) == math.inf, d
 
     def test_square_of_sigma_underflows(self):
         # sigma^2 underflows to 0: the variances are 0 (or inf past the density
