@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import locale  # noqa: F401  argparse's gettext imports it at the first parse; load it with the CLI
 import math
 import os
 import re

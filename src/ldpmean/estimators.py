@@ -24,7 +24,7 @@ import numpy as np
 from .mechanisms import PrivacyParams, privacy_params, released_bit_sums
 # Not called here: perfbench/layertrace.py rebinds estimators.sign_mechanism.
 from .mechanisms import sign_mechanism  # noqa: F401
-from .numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .numerics import SQRT_2PI, std_normal_cdf, std_normal_quantile
 from .quantized import sign_fisher_info
 
 
@@ -220,13 +220,14 @@ def one_stage_asymptotic_variance(theta: float, theta0: float,
     """Delta-method variance of the one-stage estimator for known scale ``sigma``.
 
     (1/4) (1 - t_eps^2 (1 - 2 Phi(-d))^2) r^2 at the scaled distance d =
-    (theta - theta0) / sigma, with r = sigma / (t_eps pdf(d)), so a small
-    sigma never meets an overflowing unit-scale value as 0 * inf.  Matches
-    the optimal variance at theta0 = theta and deteriorates exponentially
-    as the guess drifts.  Infinite once t_eps pdf(d) underflows to 0 (at
-    t_eps = 0, for |d| above about 38.5, for eps below about 1e-323) and
-    where e^-eps and Phi(-|d|) both underflow (eps above about 745, |d|
-    above about 38.5); fewer digits where t_eps pdf(d) is subnormal.
+    (theta - theta0) / sigma, with r = sigma / (t_eps pdf(d)), formed as
+    (sigma / t_eps) sqrt(2 pi) e^(d^2/4) e^(d^2/4): no factor is subnormal
+    where t_eps pdf(d) would be, and a small sigma never meets an
+    overflowing unit-scale value as 0 * inf.  Matches the optimal variance
+    at theta0 = theta and deteriorates exponentially as the guess drifts.
+    Infinite at t_eps = 0, where the value overflows (for every |d| above
+    53.3 once sigma is above 1e-300), and where e^-eps and Phi(-|d|) both
+    underflow (eps above about 745, |d| above about 38.5).
 
     The numerator is the product (1 - t b)(1 + t b), b = 1 - 2 Phi(-|d|),
     with 1 - t b = 2 e^-eps / (1 + e^-eps) + 2 t Phi(-|d|), so it keeps
@@ -237,10 +238,13 @@ def one_stage_asymptotic_variance(theta: float, theta0: float,
     tail = std_normal_cdf(-abs(d))
     e = math.exp(-params.epsilon)
     num = (2.0 * e / (1.0 + e) + 2.0 * t * tail) * (1.0 + t * (1.0 - 2.0 * tail))
-    scale = t * std_normal_pdf(d)
-    if scale == 0.0 or num == 0.0:
+    if t == 0.0 or num == 0.0:
         return math.inf
-    r = sigma / scale
+    try:
+        root = math.exp(0.25 * d * d)  # e^(d^2/2) alone overflows from |d| = 37.7
+    except OverflowError:  # |d| above 53.3
+        return math.inf
+    r = sigma / t * SQRT_2PI * root * root
     return 0.25 * num * r * r  # left to right: r * r alone may overflow where the value does not
 
 

@@ -23,7 +23,6 @@ import math
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -51,6 +50,11 @@ _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 _PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
 _SEED_CHUNK = 4096  # replicates hashed per numpy pass
+
+# concurrent.futures.ProcessPoolExecutor, imported by the first pooled run
+# (``_pool``), so one-worker runs never load multiprocessing; looked up at
+# call time, so perfbench/layertrace.py and the tests may rebind it.
+ProcessPoolExecutor = None
 
 
 class BudgetError(RuntimeError):
@@ -291,6 +295,13 @@ def bootstrap_ci(values, level: float = 0.95, resamples: int = 1000, *,
     numpy draws an index below 2**32 from 32 bits and PCG64 keeps the spare
     half of a 64-bit word for the next call, so every split draws the same
     indices, and each mean is the same pairwise sum over one row.
+
+    The ends are the q = tail and 1 - tail quantiles, tail = (1 - level) /
+    2, of the R sorted resample means s by numpy's default "linear" rule
+    (Hyndman-Fan type 7), which ``np.quantile`` gives bit for bit: with pos
+    = q (R - 1), i = floor(pos), g = pos - i, a = s[i] and b = s[min(i + 1,
+    R - 1)], the end is b - (b - a)(1 - g) when g >= 0.5 and a + (b - a) g
+    otherwise.  ``np.quantile`` itself would load numpy.ma (via np.unique).
     """
     if not isinstance(resamples, numbers.Integral) or resamples < 1:
         raise ValueError(f"resamples must be an integer >= 1, got {resamples!r}")
@@ -310,9 +321,27 @@ def bootstrap_ci(values, level: float = 0.95, resamples: int = 1000, *,
     for start in range(0, resamples, rows):
         idx = rng.integers(0, n, size=(min(rows, resamples - start), n))
         means[start:start + rows] = vals[idx].mean(axis=1)
+    means.sort()
     tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(means, [tail, 1.0 - tail])
-    return float(lo), float(hi)
+    return _sorted_quantile(means, tail), _sorted_quantile(means, 1.0 - tail)
+
+
+def _sorted_quantile(s: np.ndarray, q: float) -> float:
+    """``np.quantile(s, q)`` of the sorted 1-D ``s``: the rule in ``bootstrap_ci``."""
+    last = s.size - 1
+    pos = q * last
+    i = math.floor(pos)
+    a, b = float(s[i]), float(s[min(i + 1, last)])
+    g = pos - i
+    return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+
+
+def _pool(workers: int):
+    """A ``ProcessPoolExecutor`` of ``workers``, importing the class on first use."""
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MseResult]:
@@ -335,8 +364,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MseResult
     spans = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
     tasks = [(s, lo, hi) for s in range(len(config.sweep_values)) for lo, hi in spans]
     results = []
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
+    with (_pool(workers) if workers > 1 else contextlib.nullcontext()) as pool:
         if pool is None:
             blocks = (_run_block(config, *task) for task in tasks)
         else:

@@ -145,6 +145,25 @@ class TestOneStageVariance:
                 else:
                     assert abs(mpmath.mpf(value) / exact - 1) <= 1e-12, (eps, d, value)
 
+    @pytest.mark.parametrize("eps", [0.01, 1.0, 3.0, 30.0])
+    def test_tiny_sigma_against_mpmath(self, eps):
+        # From |d| = 37.6, t_eps pdf(d) is subnormal while the value at sigma = 1e-200 is
+        # a normal double; r is formed from normal factors and keeps its digits there
+        mpmath = pytest.importorskip("mpmath")
+        sigma = 1e-200
+        params = privacy_params(eps)
+        with mpmath.workdps(60):
+            t = mpmath.tanh(mpmath.mpf(eps) / 2)
+            for theta in [38.3e-200, *(float(d) * sigma for d in np.linspace(30.0, 38.5, 69))]:
+                x = mpmath.mpf(theta / sigma)
+                b = mpmath.erf(abs(x) / mpmath.sqrt(2))
+                exact = (1 - t * t * b * b) / 4 * (mpmath.mpf(sigma) / (t * mpmath.npdf(x))) ** 2
+                value = one_stage_asymptotic_variance(theta, 0.0, params, sigma)
+                assert abs(mpmath.mpf(value) / exact - 1) <= 1e-12, (eps, theta, value)
+        if eps == 1.0:  # 6.676027e237 by 60-digit mpmath; a subnormal product gave 6.676049e237
+            assert one_stage_asymptotic_variance(38.3e-200, 0.0, params, sigma) == pytest.approx(
+                6.67602746630313e237, rel=1e-12)
+
 
 class TestTwoStage:
     def test_clamped_pilot_falls_back_to_guess(self):

@@ -169,6 +169,42 @@ class TestBootstrap:
         assert peak < 4 * 2 ** 16 * 8 + values.nbytes
 
 
+class TestSortedQuantile:
+    """``bootstrap_ci``'s percentiles against ``np.quantile``, bit for bit."""
+
+    LEVELS = [1e-9, 0.5, 0.95, 1 - 1e-9]
+
+    @staticmethod
+    def _bits(x):
+        return np.float64(x).tobytes()
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_matches_np_quantile(self, level):
+        rng = np.random.default_rng(int(level * 1e9))
+        tail = (1.0 - level) / 2.0
+        for case in range(200):
+            size = int(rng.integers(2, 5001))
+            if case % 2:  # ties, negatives included; no -0.0, whose order np.partition leaves open
+                values = rng.integers(-5, 6, size=size).astype(float) * 10.0 ** rng.uniform(-5, 5)
+            else:
+                values = rng.standard_normal(size) * 10.0 ** rng.uniform(-5, 5)
+            expected = np.quantile(values, [tail, 1.0 - tail])
+            values.sort()
+            got = [sim._sorted_quantile(values, q) for q in (tail, 1.0 - tail)]
+            assert list(map(self._bits, got)) == list(map(self._bits, expected)), (case, size)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_bootstrap_ends_are_np_quantile_of_the_means(self, level):
+        values = np.random.default_rng(8).standard_normal(301) - 0.5
+        reference_rng = np.random.default_rng(9)
+        means = reference_rng.integers(0, values.size, size=(777, values.size))
+        means = values[means].mean(axis=1)
+        tail = (1.0 - level) / 2.0
+        expected = np.quantile(means, [tail, 1.0 - tail])
+        got = bootstrap_ci(values, level=level, resamples=777, rng=np.random.default_rng(9))
+        assert list(map(self._bits, got)) == list(map(self._bits, expected))
+
+
 class TestTheoreticalReference:
     """The CSV's theory columns: the variance functions, called directly."""
 

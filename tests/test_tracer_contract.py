@@ -5,8 +5,9 @@
 ``lp.dual_certificate``.  A refactor that drops one of those names breaks
 every traced pass, so installing the tracer must keep working.  It also
 replaces ``sim.np`` and the process pool, so a traced run must give the
-untraced run's results.  ``lp.equality_chain`` calls its steps by their
-module-level names, so a traced chain records a span for each of them.
+untraced run's results and send its tasks through the traced pool.
+``lp.equality_chain`` calls its steps by their module-level names, so a
+traced chain records a span for each of them.
 """
 
 import subprocess
@@ -37,9 +38,13 @@ import ldpmean.sim as sim
 cfg = sim.ExperimentConfig(kind="two", epsilon=1.0, theta_true=0.0, n=500, replicates=40,
                            master_seed=3, sweep_name="n1", sweep_values=(50.0, 100.0))
 plain = sim.run_experiment(cfg, workers=2)
-layertrace.install(layertrace.Tracer(0))
+tracer = layertrace.Tracer(0)
+layertrace.install(tracer)
 traced = sim.run_experiment(cfg, workers=2)
-sys.exit(0 if traced == plain else "traced results differ")
+if traced != plain:
+    sys.exit("traced results differ")
+# the pool is looked up as sim.ProcessPoolExecutor, so the traced pool ran the spans
+sys.exit(0 if tracer.counters["sim.pool_tasks"] > 0 else "the traced pool ran no task")
 """
 
 
