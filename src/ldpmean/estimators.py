@@ -215,37 +215,50 @@ def three_stage(data, config: EstimatorConfig,
     return estimate("three", data, config, rng)
 
 
+def _mills_ratio(d: float) -> float:
+    """Phi(-d) / pdf(d) for d >= 0, finite where both underflow (d above 38.5).
+
+    The quotient itself below d = 5; from there 40 terms of Laplace's continued
+    fraction 1 / (d + 1 / (d + 2 / (d + ...))).  Within 3e-15 of 50-digit values.
+    """
+    if d < 5.0:
+        return std_normal_cdf(-d) * SQRT_2PI * math.exp(0.5 * d * d)
+    f = d
+    for k in range(40, 0, -1):
+        f = d + k / f
+    return 1.0 / f
+
+
 def one_stage_asymptotic_variance(theta: float, theta0: float,
                                   params: PrivacyParams, sigma: float = 1.0) -> float:
     """Delta-method variance of the one-stage estimator for known scale ``sigma``.
 
-    (1/4) (1 - t_eps^2 (1 - 2 Phi(-d))^2) r^2 at the scaled distance d =
-    (theta - theta0) / sigma, with r = sigma / (t_eps pdf(d)), formed as
-    (sigma / t_eps) sqrt(2 pi) e^(d^2/4) e^(d^2/4): no factor is subnormal
-    where t_eps pdf(d) would be, and a small sigma never meets an
-    overflowing unit-scale value as 0 * inf.  Matches the optimal variance
-    at theta0 = theta and deteriorates exponentially as the guess drifts.
-    Infinite at t_eps = 0, where the value overflows (for every |d| above
-    53.3 once sigma is above 1e-300), and where e^-eps and Phi(-|d|) both
-    underflow (eps above about 745, |d| above about 38.5).
+    (1/4) (1 - t b)(1 + t b) R^2 at the scaled distance d = |theta - theta0| /
+    sigma, with t = t_eps, b = 1 - 2 Phi(-d) and R = sigma / (t pdf(d)).  Matches
+    the optimal variance at theta0 = theta and deteriorates exponentially as the
+    guess drifts.  Infinite at t = 0 and where the value exceeds the largest
+    double (for every sigma once d is above 75).
 
-    The numerator is the product (1 - t b)(1 + t b), b = 1 - 2 Phi(-|d|),
-    with 1 - t b = 2 e^-eps / (1 + e^-eps) + 2 t Phi(-|d|), so it keeps
-    its digits as t b nears 1 (large budgets, far guesses).
+    1 - t b = 2 e^-eps / (1 + e^-eps) + 2 t Phi(-d) keeps its digits as t b
+    nears 1.  Its first term is multiplied by R^2 as 2 pi k^2 / (1 + e^-eps),
+    k = sigma e^((d^2 - eps)/2) / t, its second as Phi(-d) R^2 = sqrt(2 pi)
+    M(d) q^2 (M the Mills ratio), q = sigma e^(d^2/4) / t.  k and q are sigma
+    / t times a power of one exponential that cannot overflow below d = 75,
+    so nothing underflows where e^-eps, Phi(-d) or t pdf(d) would, and a
+    small sigma never meets an overflowing unit-scale value as 0 * inf.
     """
     t = params.t_eps
-    d = (theta - theta0) / sigma
-    tail = std_normal_cdf(-abs(d))
-    e = math.exp(-params.epsilon)
-    num = (2.0 * e / (1.0 + e) + 2.0 * t * tail) * (1.0 + t * (1.0 - 2.0 * tail))
-    if t == 0.0 or num == 0.0:
+    d = abs(theta - theta0) / sigma
+    if t == 0.0 or d > 75.0:
         return math.inf
-    try:
-        root = math.exp(0.25 * d * d)  # e^(d^2/2) alone overflows from |d| = 37.7
-    except OverflowError:  # |d| above 53.3
-        return math.inf
-    r = sigma / t * SQRT_2PI * root * root
-    return 0.25 * num * r * r  # left to right: r * r alone may overflow where the value does not
+    eighth = math.exp(0.125 * d * d)
+    kept = math.exp(0.125 * (d * d - params.epsilon))  # 0 at eps = inf
+    q = sigma / t * eighth * eighth
+    k = sigma / t * kept * kept * kept * kept
+    upper = 1.0 + t * (1.0 - 2.0 * std_normal_cdf(-d))
+    # left to right: q * q or k * k alone may overflow where the value does not
+    return (math.pi / (1.0 + math.exp(-params.epsilon)) * upper * k * k
+            + 0.5 * t * upper * SQRT_2PI * _mills_ratio(d) * q * q)
 
 
 def optimal_asymptotic_variance(params: PrivacyParams, sigma: float = 1.0) -> float:

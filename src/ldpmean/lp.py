@@ -10,20 +10,20 @@ program over mixtures of the 2^k staircase columns:
 where column j of S (0-based) encodes the binary word of the integer j,
 most significant bit first, via 1 + s * bit with s = e^eps - 1, and mu_j
 is that column's information.  This module materializes the program for
-small even k in bit form (S is derived lazily), solves it exactly with a
-revised simplex, constructs the explicit dual certificate whose objective
-equals the sign mechanism's information, checks that certificate against
-every column with an exact structured sweep in O(k^2) (any even k up to
-2^16, no enumeration of the 2^k columns), and exposes the closed-form
-margin functions of the grid proof of feasibility for eps <= 1.048.
-``equality_chain`` runs those public steps in order: build_staircase_lp,
-solve_primal, sign_candidate, dual_certificate (which returns beta) and
+small even k in bit form (S itself is never built), solves it exactly with
+a revised simplex, constructs the explicit dual certificate whose objective
+equals the sign mechanism's information, and checks that certificate
+against every column with an exact structured sweep in O(k^2) (any even k
+up to 2^16, no enumeration of the 2^k columns).  ``equality_chain`` runs
+those public steps in order: build_staircase_lp, solve_primal,
+sign_candidate, dual_certificate (which returns beta) and
 check_dual_feasibility.  They share one quantizer model per k, cached by
 ``build_quantized_model``.
 
-The certificate itself stays feasible well beyond that proven bound: its
-threshold is about eps = 1.98 at k = 8 and falls to about 1.71 for
-k >= 1024.  Above it the sweep reports a column with negative slack.
+The grid proof in ``tests/oracles.py`` shows the certificate feasible for
+eps <= 1.048.  It stays feasible well beyond that bound: its threshold is
+about eps = 1.98 at k = 8 and falls to about 1.71 for k >= 1024.  Above it
+the sweep reports a column with negative slack.
 
 Every verdict is one rule, ``_agree``: the chain's three values must each
 match (2/pi) t_eps^2, and the sweep's worst column its own two terms, to
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +56,7 @@ ROUND_OFF = 1e-9          # relative gap that every comparison of lp-verify forg
 
 @dataclass(frozen=True)
 class StaircaseLp:
-    """Staircase program in bit form; S = 1 + s * bits is derived lazily.
+    """Staircase program in bit form: the dense S = 1 + s * bits is never built.
 
     bits is (k, 2^k), s = e^eps - 1, and unit_j = k (y . b_j)^2 / (k + s |b_j|)
     is column j's information mu_j over s^2, as sum(y) = 0.
@@ -68,12 +67,6 @@ class StaircaseLp:
     s: float
     unit: np.ndarray
     mu_vec: np.ndarray
-
-    @cached_property
-    def S(self) -> np.ndarray:
-        S = 1.0 + self.s * self.bits
-        S.setflags(write=False)
-        return S
 
 
 @dataclass(frozen=True)
@@ -240,19 +233,6 @@ def sign_candidate(lp: StaircaseLp) -> PrimalSolution:
     return PrimalSolution(alpha=alpha, value=float(lp.mu_vec @ alpha))
 
 
-def mechanism_from_solution(solution: PrimalSolution, lp: StaircaseLp,
-                            weight_tol: float = 1e-12) -> np.ndarray:
-    """Recover the channel [S diag(alpha)]^T, dropping zero-weight rows.
-
-    The rows of the result are the supported columns of S scaled by
-    their weights; feasibility S alpha = 1 makes it column-stochastic,
-    and every row is proportional to a {1, e^eps} pattern, so the
-    epsilon-LDP ratio bound holds with equality.
-    """
-    support = np.where(solution.alpha > weight_tol)[0]
-    return (lp.S[:, support] * solution.alpha[support]).T
-
-
 def dual_certificate(k: int, params: PrivacyParams) -> np.ndarray:
     """Closed-form dual vector beta, a read-only array of length k summing to (2/pi) t_eps^2.
 
@@ -332,49 +312,6 @@ def check_dual_feasibility(k: int, params: PrivacyParams) -> DualFeasibilityRepo
     worst_column = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-k % 8)
     return DualFeasibilityReport(feasible=worst_slack >= 0.0 or _agree(weight, info),
                                  worst_slack=worst_slack, worst_column=worst_column)
-
-
-def certificate_margin(a1, a2, x, y, t):
-    """Normalized feasibility margin of one dual constraint.
-
-    a1 and a2 aggregate the |y| mass picked up by the low-entry lower
-    half and the high-entry upper half of a staircase column; x and y
-    are the matching index fractions m1/k and m2/k.  Nonnegativity of
-    this form over the admissible region is exactly dual feasibility.
-    Accepts scalars or broadcastable arrays.
-    """
-    diff = y - x
-    return ((a2 - a1) * (2.0 * t + 4.0 * t * t * diff)
-            - 4.0 * t * t * diff * diff
-            - (a1 + a2 - 1.0) ** 2 + 1.0)
-
-
-def certificate_margin_upper(x, y, t):
-    """Margin along the upper a1 boundary: a1 = 1 - pi y^2, a2 = pi y^2."""
-    a2 = math.pi * np.asarray(y, dtype=float) ** 2
-    return certificate_margin(1.0 - a2, a2, x, y, t)
-
-
-def certificate_margin_lower(x, y, t):
-    """Margin along the lower boundary: a1 = pi x^2, a2 = pi y^2."""
-    a1 = math.pi * np.asarray(x, dtype=float) ** 2
-    a2 = math.pi * np.asarray(y, dtype=float) ** 2
-    return certificate_margin(a1, a2, x, y, t)
-
-
-def interior_stationarity(a, b, t):
-    """Stationarity form t a (2a^2 - 4b^2 + (4/pi) b) + b^2 - a^2.
-
-    Written in the difference/sum variables a = x - y, b = x + y.  Strict
-    positivity on 0 < a <= min(b, 1/2), a <= b <= 1 rules out interior
-    critical points of the lower-boundary margin for t <= 1/2.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    val = t * a * (2.0 * a * a - 4.0 * b * b + (4.0 / math.pi) * b) + b * b - a * a
-    if val.ndim == 0:
-        return float(val)
-    return val
 
 
 def equality_chain(k: int, params: PrivacyParams) -> dict:

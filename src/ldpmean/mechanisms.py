@@ -1,9 +1,8 @@
 """Binary privacy channels: randomized response and the sign mechanism.
 
-A mechanism here is a column-stochastic matrix Q: Q[i, j] is the
-probability of releasing output symbol i when the private input is
-symbol j.  The epsilon-LDP constraint bounds the ratio of any two
-entries within the same row by e^epsilon.
+Randomized response keeps a +/-1 bit with probability p_eps and flips it
+otherwise, so any two inputs release the same output with odds at most
+e^epsilon: the epsilon-LDP bound.
 
 Randomization is driven by a caller-supplied ``numpy.random.Generator``;
 nothing in this module touches global random state, so deterministic
@@ -95,28 +94,3 @@ def released_bit_sums(x: np.ndarray, u: np.ndarray, centers, p_eps: float) -> li
     agree = x >= np.asarray(centers, dtype=float)[:, None]
     np.equal(agree, u < p_eps, out=agree)
     return [2 * int(np.count_nonzero(row)) - row.size for row in agree]
-
-
-def rr_matrix(params: PrivacyParams) -> np.ndarray:
-    """2x2 randomized-response channel: diagonal p_eps, off-diagonal 1 - p_eps."""
-    p = params.p_eps
-    return np.array([[p, 1.0 - p], [1.0 - p, p]])
-
-
-def verify_ldp(Q, epsilon: float, tol: float = 1e-12) -> bool:
-    """Check the epsilon-LDP ratio bound row by row.
-
-    Returns True iff every row satisfies max entry <= e^epsilon * min
-    entry + tol.  Rows containing a zero next to a positive entry fail
-    for any finite epsilon.  The absolute tolerance absorbs column
-    normalization round-off.
-    """
-    mat = np.asarray(Q, dtype=float)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValueError(f"mechanism matrix must be 2-d and non-empty, got shape {mat.shape}")
-    if np.any(mat < 0.0):
-        return False
-    bound = math.exp(epsilon)
-    row_max = mat.max(axis=1)
-    row_min = mat.min(axis=1)
-    return bool(np.all(row_max <= bound * row_min + tol))

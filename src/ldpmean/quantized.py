@@ -82,16 +82,6 @@ def row_information_many(V, model: QuantizedModel) -> np.ndarray:
     return out
 
 
-def row_information(v, model: QuantizedModel) -> float:
-    """``row_information_many`` of one nonnegative weight vector of length k."""
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != (model.k,):
-        raise ValueError(f"weight vector must have length {model.k}, got shape {vec.shape}")
-    if not np.all(vec >= 0.0):
-        raise ValueError("weight vector must be componentwise nonnegative")
-    return float(row_information_many(vec[:, None], model)[0])
-
-
 def fisher_info_quantized(Q, model: QuantizedModel) -> float:
     """Fisher information about the mean released by channel ``Q``.
 

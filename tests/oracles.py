@@ -1,0 +1,108 @@
+"""Reference forms that only the tests use, one import path each.
+
+No command runs these, so they live beside the tests rather than in
+``ldpmean``; the file name keeps pytest from collecting it.
+
+* ``verify_ldp``: the epsilon-LDP ratio bound of a channel matrix.
+* ``staircase_matrix`` and ``mechanism_from_solution``: the dense staircase
+  matrix S = 1 + s * bits of a bit-form program, and the channel a primal
+  solution encodes.
+* ``certificate_margin`` with its ``_upper`` and ``_lower`` boundary forms,
+  and ``interior_stationarity``: the closed-form margins whose grid
+  nonnegativity proves the dual certificate feasible for eps <= 1.048.
+
+A mechanism here is a column-stochastic matrix Q: Q[i, j] is the
+probability of releasing output symbol i when the private input is symbol
+j.  The epsilon-LDP constraint bounds the ratio of any two entries within
+the same row by e^epsilon.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from ldpmean.lp import PrimalSolution, StaircaseLp
+
+
+def verify_ldp(Q, epsilon: float, tol: float = 1e-12) -> bool:
+    """Check the epsilon-LDP ratio bound row by row.
+
+    Returns True iff every row satisfies max entry <= e^epsilon * min
+    entry + tol.  Rows containing a zero next to a positive entry fail
+    for any finite epsilon.  The absolute tolerance absorbs column
+    normalization round-off.
+    """
+    mat = np.asarray(Q, dtype=float)
+    if mat.ndim != 2 or mat.size == 0:
+        raise ValueError(f"mechanism matrix must be 2-d and non-empty, got shape {mat.shape}")
+    if np.any(mat < 0.0):
+        return False
+    bound = math.exp(epsilon)
+    row_max = mat.max(axis=1)
+    row_min = mat.min(axis=1)
+    return bool(np.all(row_max <= bound * row_min + tol))
+
+
+def staircase_matrix(lp: StaircaseLp) -> np.ndarray:
+    """The dense (k, 2^k) matrix S = 1 + s * bits of the program, read-only."""
+    S = 1.0 + lp.s * lp.bits
+    S.setflags(write=False)
+    return S
+
+
+def mechanism_from_solution(solution: PrimalSolution, lp: StaircaseLp,
+                            weight_tol: float = 1e-12) -> np.ndarray:
+    """Recover the channel [S diag(alpha)]^T, dropping zero-weight rows.
+
+    The rows of the result are the supported columns of S scaled by
+    their weights; feasibility S alpha = 1 makes it column-stochastic,
+    and every row is proportional to a {1, e^eps} pattern, so the
+    epsilon-LDP ratio bound holds with equality.
+    """
+    support = np.where(solution.alpha > weight_tol)[0]
+    return (staircase_matrix(lp)[:, support] * solution.alpha[support]).T
+
+
+def certificate_margin(a1, a2, x, y, t):
+    """Normalized feasibility margin of one dual constraint.
+
+    a1 and a2 aggregate the |y| mass picked up by the low-entry lower
+    half and the high-entry upper half of a staircase column; x and y
+    are the matching index fractions m1/k and m2/k.  Nonnegativity of
+    this form over the admissible region is exactly dual feasibility.
+    Accepts scalars or broadcastable arrays.
+    """
+    diff = y - x
+    return ((a2 - a1) * (2.0 * t + 4.0 * t * t * diff)
+            - 4.0 * t * t * diff * diff
+            - (a1 + a2 - 1.0) ** 2 + 1.0)
+
+
+def certificate_margin_upper(x, y, t):
+    """Margin along the upper a1 boundary: a1 = 1 - pi y^2, a2 = pi y^2."""
+    a2 = math.pi * np.asarray(y, dtype=float) ** 2
+    return certificate_margin(1.0 - a2, a2, x, y, t)
+
+
+def certificate_margin_lower(x, y, t):
+    """Margin along the lower boundary: a1 = pi x^2, a2 = pi y^2."""
+    a1 = math.pi * np.asarray(x, dtype=float) ** 2
+    a2 = math.pi * np.asarray(y, dtype=float) ** 2
+    return certificate_margin(a1, a2, x, y, t)
+
+
+def interior_stationarity(a, b, t):
+    """Stationarity form t a (2a^2 - 4b^2 + (4/pi) b) + b^2 - a^2.
+
+    Written in the difference/sum variables a = x - y, b = x + y.  Strict
+    positivity on 0 < a <= min(b, 1/2), a <= b <= 1 rules out interior
+    critical points of the lower-boundary margin for t <= 1/2.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    val = t * a * (2.0 * a * a - 4.0 * b * b + (4.0 / math.pi) * b) + b * b - a * a
+    if val.ndim == 0:
+        return float(val)
+    return val

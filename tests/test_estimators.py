@@ -21,9 +21,10 @@ from ldpmean.estimators import (
     three_stage,
     two_stage,
 )
-from ldpmean.mechanisms import privacy_params, rr_matrix, sign_mechanism, verify_ldp
+from ldpmean.mechanisms import privacy_params, sign_mechanism
 from ldpmean.numerics import std_normal_cdf
-from ldpmean.quantized import sign_fisher_info
+from ldpmean.quantized import embed_sign_channel, sign_fisher_info
+from oracles import verify_ldp
 
 
 class CountingRng:
@@ -163,6 +164,43 @@ class TestOneStageVariance:
         if eps == 1.0:  # 6.676027e237 by 60-digit mpmath; a subnormal product gave 6.676049e237
             assert one_stage_asymptotic_variance(38.3e-200, 0.0, params, sigma) == pytest.approx(
                 6.67602746630313e237, rel=1e-12)
+
+
+    @staticmethod
+    def _exact(d, eps, sigma, mpmath):
+        """50-digit value: (1 - t b) and (1 + t b) formed without cancellation."""
+        with mpmath.workdps(50):
+            x, s = mpmath.mpf(d), mpmath.mpf(sigma)
+            e = mpmath.exp(-mpmath.mpf(eps))  # 0 at eps = inf
+            t, tail = (1 - e) / (1 + e), mpmath.ncdf(-x)
+            return ((2 * e / (1 + e) + 2 * t * tail) * (1 + t - 2 * t * tail) / 4
+                    * (s / (t * mpmath.npdf(x))) ** 2)
+
+    def test_tail_and_budget_both_underflowing(self):
+        # e^-eps and Phi(-d) are 0 in float64; the Mills ratio keeps the value finite
+        mpmath = pytest.importorskip("mpmath")
+        value = one_stage_asymptotic_variance(38.5e-200, 0.0, privacy_params(math.inf), 1e-200)
+        assert value == pytest.approx(4.7844784e-80, rel=1e-7)
+        assert abs(mpmath.mpf(value) / self._exact(38.5, math.inf, 1e-200, mpmath) - 1) <= 1e-10
+
+    @pytest.mark.parametrize("eps", [1e-8, 1.0, 40.0, 800.0, math.inf])
+    def test_grid_against_mpmath(self, eps):
+        # |d| up to 60 and sigma from 1e-200 to 1: within 1e-10 of 50 digits, inf only
+        # where the exact value exceeds the largest double, tiny where it is subnormal.
+        # At eps = 800 e^-eps underflows, yet its term dominates from d = 40 or so
+        mpmath = pytest.importorskip("mpmath")
+        params = privacy_params(eps)
+        for sigma in np.geomspace(1e-200, 1.0, 11):
+            for d in np.linspace(0.0, 60.0, 121):
+                theta = float(d) * float(sigma)
+                exact = self._exact(theta / sigma, eps, float(sigma), mpmath)
+                value = one_stage_asymptotic_variance(theta, 0.0, params, float(sigma))
+                if exact > sys.float_info.max:
+                    assert value == math.inf, (sigma, d, value)
+                elif exact < sys.float_info.min:
+                    assert value < sys.float_info.min, (sigma, d, value)
+                else:
+                    assert abs(mpmath.mpf(value) / exact - 1) <= 1e-10, (sigma, d, value)
 
 
 class TestTwoStage:
@@ -442,7 +480,7 @@ class TestPrivacyAudit:
 
     @pytest.mark.parametrize("eps", [0.5, 1.0])
     def test_channel_is_epsilon_valid(self, eps):
-        assert verify_ldp(rr_matrix(privacy_params(eps)), eps)
+        assert verify_ldp(embed_sign_channel(privacy_params(eps), 2), eps)
 
 
 class TestRescaledEstimate:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -8,24 +9,30 @@ import pytest
 import ldpmean.lp as lp_module
 import ldpmean.quantized as quantized_module
 from ldpmean.lp import (
+    StaircaseLp,
     build_staircase_lp,
-    certificate_margin,
-    certificate_margin_lower,
-    certificate_margin_upper,
     check_dual_feasibility,
     dual_certificate,
     equality_chain,
-    interior_stationarity,
-    mechanism_from_solution,
     sign_candidate,
     solve_primal,
 )
-from ldpmean.mechanisms import privacy_params, rr_matrix, verify_ldp
+from ldpmean.mechanisms import privacy_params
 from ldpmean.quantized import (
     MAX_LEVEL,
     build_quantized_model,
+    embed_sign_channel,
     fisher_info_quantized,
-    row_information,
+    row_information_many,
+)
+from oracles import (
+    certificate_margin,
+    certificate_margin_lower,
+    certificate_margin_upper,
+    interior_stationarity,
+    mechanism_from_solution,
+    staircase_matrix,
+    verify_ldp,
 )
 
 
@@ -35,10 +42,11 @@ def brute_force_optimum(lp):
     Independent of the simplex path: solves each k x k system directly and
     checks feasibility by hand.  Only viable for tiny k.
     """
-    k, n = lp.S.shape
+    S = staircase_matrix(lp)
+    k, n = S.shape
     best = -math.inf
     for cols in itertools.combinations(range(n), k):
-        B = lp.S[:, cols]
+        B = S[:, cols]
         if abs(np.linalg.det(B)) < 1e-12:
             continue
         x = np.linalg.solve(B, np.ones(k))
@@ -68,7 +76,7 @@ def direct_slack(column, k, params):
     bits = np.array([(column >> (k - 1 - i)) & 1 for i in range(k)])
     col = bits * (math.exp(params.epsilon) - 1.0) + 1.0
     beta = dual_certificate(k, params)
-    return float(col @ beta) - row_information(col, build_quantized_model(k))
+    return float(col @ beta) - row_information_many(col[:, None], build_quantized_model(k))[0]
 
 
 class TestBuildStaircase:
@@ -82,7 +90,7 @@ class TestBuildStaircase:
             ([1] * 2 + [e] * 2) * 4,
             [1, e] * 8,
         ])
-        assert np.allclose(lp.S, expected, atol=1e-15)
+        assert np.allclose(staircase_matrix(lp), expected, atol=1e-15)
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_odd_level_rejected(self, k):
@@ -92,7 +100,7 @@ class TestBuildStaircase:
     def test_level_two_columns(self):
         lp = build_staircase_lp(2, privacy_params(1.0))
         e = math.e
-        assert np.allclose(lp.S.T, [[1, 1], [1, e], [e, 1], [e, e]], atol=1e-15)
+        assert np.allclose(staircase_matrix(lp).T, [[1, 1], [1, e], [e, 1], [e, e]], atol=1e-15)
 
     def test_all_ones_column_has_zero_weight(self):
         # mu(ones) = (sum y)^2 which cancels to round-off
@@ -104,23 +112,24 @@ class TestBuildStaircase:
     def test_mu_vector_matches_scalar_form(self, k):
         lp = build_staircase_lp(k, privacy_params(0.9))
         model = build_quantized_model(k)
-        each = [row_information(lp.S[:, j], model) for j in range(2 ** k)]
+        S = staircase_matrix(lp)
+        each = [row_information_many(S[:, j:j + 1], model)[0] for j in range(2 ** k)]
         assert np.allclose(lp.mu_vec, each, atol=1e-15)
 
     @pytest.mark.parametrize("eps", [1e-12, 0.5, 3.0])
     def test_dense_matrix_is_derived_from_the_bits(self, eps):
         lp = build_staircase_lp(6, privacy_params(eps))
-        assert "S" not in vars(lp)  # derived on first access only
         assert lp.s == math.expm1(eps)
-        assert np.array_equal(lp.S, 1.0 + lp.s * lp.bits)
-        assert not lp.S.flags.writeable
+        assert set(np.unique(lp.bits)) == {0.0, 1.0}
+        assert np.array_equal(staircase_matrix(lp), 1.0 + lp.s * lp.bits)
+        assert not staircase_matrix(lp).flags.writeable
         assert np.array_equal(lp.mu_vec, lp.s * lp.s * lp.unit)
 
-    def test_chain_never_builds_the_dense_matrix(self, monkeypatch):
-        def no_dense(self):
-            raise AssertionError("S built")
-
-        monkeypatch.setattr(lp_module.StaircaseLp, "S", property(no_dense))
+    def test_chain_never_builds_the_dense_matrix(self):
+        # the program holds the bit form only; S exists only as the tests' staircase_matrix
+        fields = [field.name for field in dataclasses.fields(StaircaseLp)]
+        assert fields == ["k", "bits", "s", "unit", "mu_vec"]
+        assert not hasattr(build_staircase_lp(12, privacy_params(1.0)), "S")
         assert equality_chain(12, privacy_params(1.0))["chain_holds"]
 
     def test_caps(self):
@@ -157,7 +166,7 @@ class TestSolvePrimal:
         lp = build_staircase_lp(k, privacy_params(eps))
         sol = solve_primal(lp)
         assert np.all(sol.alpha >= 0.0)
-        assert np.allclose(lp.S @ sol.alpha, 1.0, atol=1e-9)
+        assert np.allclose(staircase_matrix(lp) @ sol.alpha, 1.0, atol=1e-9)
         assert int((sol.alpha > 1e-9).sum()) <= k  # vertex sparsity
 
     def test_cap(self):
@@ -173,7 +182,7 @@ class TestSolvePrimal:
         linprog = pytest.importorskip("scipy.optimize").linprog
         for eps in (0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.8):
             lp = build_staircase_lp(k, privacy_params(eps))
-            ref = linprog(-lp.mu_vec, A_eq=lp.S, b_eq=np.ones(k), bounds=(0, None),
+            ref = linprog(-lp.mu_vec, A_eq=staircase_matrix(lp), b_eq=np.ones(k), bounds=(0, None),
                           method="highs")
             assert ref.status == 0
             assert solve_primal(lp).value == pytest.approx(-ref.fun, rel=1e-12, abs=1e-300)
@@ -287,7 +296,7 @@ class TestSignCandidate:
         params = privacy_params(eps)
         lp = build_staircase_lp(k, params)
         cand = sign_candidate(lp)
-        assert np.allclose(lp.S @ cand.alpha, 1.0, atol=1e-14)
+        assert np.allclose(staircase_matrix(lp) @ cand.alpha, 1.0, atol=1e-14)
         expected = (2 / math.pi) * params.t_eps ** 2
         assert cand.value == pytest.approx(expected, abs=1e-12)
 
@@ -307,7 +316,7 @@ class TestMechanismFromSolution:
         lp = build_staircase_lp(2, params)
         Q = mechanism_from_solution(sign_candidate(lp), lp)
         # same channel up to output relabeling (rows in support order)
-        assert np.allclose(Q[::-1], rr_matrix(params), atol=1e-15)
+        assert np.allclose(Q[::-1], embed_sign_channel(params, 2), atol=1e-15)
 
     def test_optimal_vertex_round_trip(self):
         params = privacy_params(1.0)
@@ -376,7 +385,7 @@ class TestDualFeasibility:
         beta = dual_certificate(k, params)
         bits = np.array([(report.worst_column >> (k - 1 - i)) & 1 for i in range(k)])
         col = bits * (math.exp(3.0) - 1.0) + 1.0
-        slack = float(col @ beta) - row_information(col, model)
+        slack = float(col @ beta) - row_information_many(col[:, None], model)[0]
         assert slack == pytest.approx(report.worst_slack, abs=1e-12)
 
     @pytest.mark.parametrize("k", range(2, 17, 2))

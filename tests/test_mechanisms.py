@@ -7,11 +7,11 @@ from ldpmean.mechanisms import (
     privacy_params,
     randomized_response,
     released_bit_sums,
-    rr_matrix,
     sign_mechanism,
-    verify_ldp,
 )
 from ldpmean.numerics import std_normal_cdf
+from ldpmean.quantized import embed_sign_channel
+from oracles import verify_ldp
 
 
 class TestPrivacyParams:
@@ -141,7 +141,7 @@ class TestSignMechanism:
         center = 0.2
         raw = np.where(data >= center, 1, -1)
         z = np.asarray(sign_mechanism(data, center, p, rng))
-        mat = rr_matrix(p)
+        mat = embed_sign_channel(p, 2)
         for j, s in enumerate((1, -1)):  # column order: input +1, input -1
             mask = raw == s
             m = mask.sum()
@@ -195,17 +195,26 @@ class TestReleasedBitSum:
 
 
 class TestRrMatrix:
+    """The 2x2 randomized-response channel is the sign mechanism embedded at level 2."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1.0, math.inf])
+    def test_level_two_embedding_is_the_rr_matrix(self, eps):
+        # rows: released +1, -1; columns: input +1, -1; entries exactly p and 1 - p
+        params = privacy_params(eps)
+        p = params.p_eps
+        assert np.array_equal(embed_sign_channel(params, 2), [[p, 1.0 - p], [1.0 - p, p]])
+
     def test_unit_budget_entries(self):
-        mat = rr_matrix(privacy_params(1.0))
+        mat = embed_sign_channel(privacy_params(1.0), 2)
         expected = np.array([[0.7310586, 0.2689414], [0.2689414, 0.7310586]])
         assert np.allclose(mat, expected, atol=1e-7)
 
     def test_zero_budget_is_uniform(self):
-        assert np.array_equal(rr_matrix(privacy_params(0.0)), np.full((2, 2), 0.5))
+        assert np.array_equal(embed_sign_channel(privacy_params(0.0), 2), np.full((2, 2), 0.5))
 
     @pytest.mark.parametrize("eps", [0.2, 1.0, 3.0])
     def test_column_sums_and_ratio(self, eps):
-        mat = rr_matrix(privacy_params(eps))
+        mat = embed_sign_channel(privacy_params(eps), 2)
         assert np.allclose(mat.sum(axis=0), 1.0, atol=1e-15)
         ratios = mat.max(axis=1) / mat.min(axis=1)
         assert np.allclose(ratios, math.exp(eps), rtol=1e-12)
@@ -213,10 +222,10 @@ class TestRrMatrix:
 
 class TestVerifyLdp:
     def test_rr_matrix_valid_at_its_own_budget(self):
-        assert verify_ldp(rr_matrix(privacy_params(1.0)), 1.0)
+        assert verify_ldp(embed_sign_channel(privacy_params(1.0), 2), 1.0)
 
     def test_rr_matrix_invalid_at_smaller_budget(self):
-        assert not verify_ldp(rr_matrix(privacy_params(1.0)), 0.5)
+        assert not verify_ldp(embed_sign_channel(privacy_params(1.0), 2), 0.5)
 
     def test_identity_channel_never_private(self):
         for eps in (0.5, 1.0, 5.0, 20.0):

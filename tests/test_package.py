@@ -3,13 +3,16 @@
 The package itself exports only ``__version__``, so importing the LP half
 of the paper (``ldpmean.lp``) loads none of the Monte Carlo half.  The
 package runs on numpy and the standard library alone, and only a run with
-more than one worker imports the process pool.
+more than one worker imports the process pool.  The reference forms that
+only the tests use have theirs in ``tests/oracles.py``.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import oracles
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -25,13 +28,28 @@ not_submodules = sorted(n for n in public & vars(ldpmean).keys()
                                 and getattr(ldpmean, n).__name__ == "ldpmean." + n))
 pool_or_ma = sorted(m for m in sys.modules
                     if m in {"multiprocessing", "concurrent.futures.process", "numpy.ma"})
+import importlib, pkgutil
+modules = [importlib.import_module("ldpmean." + info.name)
+           for info in pkgutil.iter_modules(ldpmean.__path__)]
+defined = sorted(f"{module.__name__}.{name}" for module in [ldpmean, *modules]
+                 for name in json.loads(sys.argv[2]) if hasattr(module, name))
+if hasattr(ldpmean.lp.StaircaseLp, "S"):
+    defined.append("ldpmean.lp.StaircaseLp.S")
 print(json.dumps({"after_lp": after_lp, "not_submodules": not_submodules,
-                  "version": getattr(ldpmean, "__version__", None), "pool_or_ma": pool_or_ma}))
+                  "version": getattr(ldpmean, "__version__", None), "pool_or_ma": pool_or_ma,
+                  "modules": sorted(m.__name__ for m in modules), "defined": defined}))
 """
+
+# Reference forms that only the tests use live in tests/oracles.py; two duplicates
+# are gone (rr_matrix is embed_sign_channel(params, 2), row_information is
+# row_information_many of one column).  No ldpmean module may define any of them.
+ORACLES = ["verify_ldp", "staircase_matrix", "mechanism_from_solution", "certificate_margin",
+           "certificate_margin_upper", "certificate_margin_lower", "interior_stationarity"]
+DELETED = ["rr_matrix", "row_information"]
 
 
 def _probe():
-    proc = subprocess.run([sys.executable, "-c", PROBE, str(SRC)],
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(SRC), json.dumps(ORACLES + DELETED)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -41,6 +59,14 @@ def test_lp_loads_no_monte_carlo_module():
     loaded = set(_probe()["after_lp"])
     assert loaded.isdisjoint({"ldpmean.sim", "ldpmean.estimators", "ldpmean.cli"})
     assert "ldpmean.lp" in loaded
+
+
+def test_test_only_forms_have_one_import_path():
+    report = _probe()
+    assert "ldpmean.lp" in report["modules"] and "ldpmean.cli" in report["modules"]
+    assert report["defined"] == []
+    assert [name for name in ORACLES if not callable(getattr(oracles, name, None))] == []
+    assert [name for name in DELETED if hasattr(oracles, name)] == []
 
 
 def test_package_exports_only_version_and_submodules():
