@@ -32,7 +32,7 @@ from . import __version__
 from .estimators import ESTIMATOR_KINDS, EstimatorConfig, estimate, optimal_asymptotic_variance
 from .lp import MAX_SOLVE_K, equality_chain
 from .mechanisms import privacy_params
-from .quantized import build_quantized_model, embed_sign_channel, fisher_info_quantized, sign_fisher_info
+from .quantized import build_quantized_model, row_information_many, sign_fisher_info
 from .sim import BudgetError, ExperimentConfig, results_to_csv, run_experiment, synthetic_sample
 
 EXIT_OK = 0
@@ -190,8 +190,10 @@ def _cmd_fisher(args) -> int:
     }
     if args.k is not None:
         model = build_quantized_model(args.k)
-        payload["quantized_check"] = fisher_info_quantized(
-            embed_sign_channel(params, args.k), model)
+        t = params.t_eps  # the sign bit's rows: (1 - t)/2, plus t on the lower or the upper half
+        halves = np.repeat(np.eye(2), args.k // 2, axis=0)
+        payload["quantized_check"] = t * t * float(
+            row_information_many(halves, (1.0 - t) / 2.0, t, model).sum())
     _emit(payload)
     return EXIT_OK
 

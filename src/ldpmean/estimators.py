@@ -78,14 +78,19 @@ def invert_mean(z_bar: float, center: float, params: PrivacyParams,
     """Invert the expected released bit around ``center`` for data of scale ``sigma``.
 
     Returns center - sigma * quantile(1/2 - z_bar / (2 t_eps)) when
-    |z_bar| < t_eps and the center itself otherwise; the guard keeps the
-    quantile argument strictly inside (0, 1), so the map is total.  At
-    sigma = 1 the product is the quantile itself, bit for bit.
+    |z_bar| < t_eps and the center itself otherwise.  Where the argument
+    rounds to 1 although z_bar > -t_eps, it is center + sigma * quantile((t_eps
+    + z_bar) / (2 t_eps)), whose sum is exact by Sterbenz; 1/2 - x is exact
+    near x = 1/2, so the argument never rounds to 0 and the value is finite.
+    At sigma = 1 the product is the quantile itself, bit for bit.
     """
     t = params.t_eps
-    if abs(z_bar) < t:
-        return center - sigma * std_normal_quantile(0.5 - z_bar / (2.0 * t))
-    return center
+    if not abs(z_bar) < t:
+        return center
+    p = 0.5 - z_bar / (2.0 * t)
+    if p < 1.0:
+        return center - sigma * std_normal_quantile(p)
+    return center + sigma * std_normal_quantile((t + z_bar) / (2.0 * t))
 
 
 def _stage(x: np.ndarray, u: np.ndarray, centers, params: PrivacyParams,

@@ -45,9 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mechanisms import PrivacyParams
-from .quantized import build_quantized_model, sign_fisher_info
-# Not called here: perfbench/layertrace.py rebinds lp.row_information_many.
-from .quantized import row_information_many  # noqa: F401
+from .quantized import build_quantized_model, row_information_many, sign_fisher_info
 
 MAX_SOLVE_K = 12          # simplex over the materialized 2^k columns
 _SWEEP_BLOCK = 1 << 18    # corner slacks evaluated per block of the sweep grid
@@ -59,7 +57,7 @@ class StaircaseLp:
     """Staircase program in bit form: the dense S = 1 + s * bits is never built.
 
     bits is (k, 2^k), s = e^eps - 1, and unit_j = k (y . b_j)^2 / (k + s |b_j|)
-    is column j's information mu_j over s^2, as sum(y) = 0.
+    is column j's information mu_j over s^2 (``row_information_many`` at base 1).
     """
 
     k: int
@@ -134,7 +132,7 @@ def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
     model = build_quantized_model(k)
     s = _staircase_step(params, k)
     bits = _column_bits(np.arange(1 << k, dtype=np.int64), k)
-    unit = k * (model.y @ bits) ** 2 / (k + s * bits.sum(axis=0))
+    unit = row_information_many(bits, 1.0, s, model)
     mu_vec = (s * s) * unit
     for array in (bits, unit, mu_vec):
         array.setflags(write=False)
@@ -305,8 +303,7 @@ def check_dual_feasibility(k: int, params: PrivacyParams) -> DualFeasibilityRepo
     bits[lower[a, :m1]] = 1
     bits[upper[b, :m2]] = 1
     # The column 1 + s * bits in bit form: 1 + s would drop the digits of s.
-    dot = scale * float(bits @ model.y)
-    info = k * dot * dot / (k + scale * (m1 + m2))
+    info = scale * scale * float(row_information_many(bits[:, None], 1.0, scale, model)[0])
     weight = float(beta.sum()) + scale * float(bits @ beta)
     worst_slack = weight - info
     worst_column = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-k % 8)

@@ -2,10 +2,11 @@
 
 All three functions use extended-real conventions: the pdf is 0 at +/-inf,
 the cdf is 0 at -inf and 1 at +inf, and the quantile maps 0 and 1 to
--inf and +inf.  Quantizer breakpoints and clamped estimator updates rely
-on these sentinels.  The pdf and cdf get them from IEEE arithmetic
-(exp(-inf) = 0, erfc(-inf) = 2, erfc(inf) = 0); the quantile maps the two
-endpoints itself, because the standard library's inverse cdf rejects them.
+-inf and +inf.  No caller passes the quantile 0 or 1: the quantizer writes
+its +/-inf breakpoints itself, and a clamped estimator stage never calls
+it.  The pdf and cdf get theirs from IEEE arithmetic (exp(-inf) = 0,
+erfc(-inf) = 2, erfc(inf) = 0); the quantile maps the two endpoints
+itself, because the standard library's inverse cdf rejects them.
 """
 
 from __future__ import annotations

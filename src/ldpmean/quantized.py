@@ -1,11 +1,12 @@
-"""Quantized Gaussian model and the Fisher information of discrete channels.
+"""Quantized Gaussian model and the Fisher information of staircase channel rows.
 
 A level-k quantizer cuts the real line at the standard-normal quantiles
 x_j = Phi^-1(j/k), j = 0..k, so that each cell carries mass 1/k under
 N(center, 1).  The Fisher information about the mean that survives a
 discrete privacy channel Q applied to the quantized sample depends on
 the model only through the density increments y_j = pdf(x_{j-1}) -
-pdf(x_j), which makes it independent of the true mean.
+pdf(x_j), which makes it independent of the true mean.  The package
+evaluates it only on staircase rows, in ``row_information_many``.
 """
 
 from __future__ import annotations
@@ -64,62 +65,20 @@ def build_quantized_model(k: int) -> QuantizedModel:
     return QuantizedModel(k=k, breakpoints=bps, y=y)
 
 
-def row_information_many(V, model: QuantizedModel) -> np.ndarray:
-    """Information k * (v . y)^2 / (v . 1) of each column v of a (k, m) array.
+def row_information_many(bits, base: float, step: float, model: QuantizedModel) -> np.ndarray:
+    """Information k (v . y)^2 / (v . 1) of each row v = base + step * b, over step^2.
 
-    Each column holds the nonnegative channel weights one output row
-    assigns to the k input cells.  A zero column contributes exactly 0
-    (explicit branch, never 0/0): that output symbol is never emitted.
+    The rows are the LP's columns and the sign bit's two rows; b runs over
+    the 0/1 columns of the (k, m) array ``bits``.  As sum(y) = 0, v . y =
+    step (y . b), so this is k (y . b)^2 / (base k + step |b|), and no digit
+    of a small step cancels.  An all-zero row contributes exactly 0.
     """
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[0] != model.k:
-        raise ValueError(f"expected shape ({model.k}, m), got {V.shape}")
-    dots = model.y @ V
-    totals = V.sum(axis=0)
-    out = np.zeros(V.shape[1])
-    nz = totals > 0.0
-    out[nz] = model.k * dots[nz] ** 2 / totals[nz]
-    return out
-
-
-def fisher_info_quantized(Q, model: QuantizedModel) -> float:
-    """Fisher information about the mean released by channel ``Q``.
-
-    ``Q`` is an (m, k) nonnegative, column-stochastic matrix acting on the
-    k quantizer cells (a negative or NaN entry is a ValueError); m may be
-    smaller than k when all-zero output rows were dropped.  The value is
-    the sum of ``row_information_many`` over the rows of Q, so all-zero
-    rows contribute 0.  It does not depend on the true mean, so no
-    location argument exists.
-    """
-    mat = np.asarray(Q, dtype=float)
-    if mat.ndim != 2 or mat.shape[1] != model.k:
-        raise ValueError(f"channel must be 2-d with {model.k} columns, got shape {mat.shape}")
-    if not np.all(mat >= 0.0):
-        raise ValueError("channel matrix must be entrywise nonnegative")
-    if not np.all(np.abs(mat.sum(axis=0) - 1.0) <= 1e-6):
-        raise ValueError("channel matrix must be column-stochastic")
-    return float(row_information_many(mat.T, model).sum())
-
-
-def embed_sign_channel(params: PrivacyParams, k: int) -> np.ndarray:
-    """Sign mechanism as a level-k channel: its two live output rows, shape (2, k).
-
-    Output row 0 aggregates the lower half of the input cells with
-    keep-probability p_eps and row 1 its complement; a level-k channel's
-    other k - 2 output symbols would never be emitted, so they are left
-    out.  Its information equals ``sign_fisher_info`` for every even k.
-    """
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"embedding requires an even k >= 2, got {k!r}")
-    p = params.p_eps
-    half = k // 2
-    mat = np.empty((2, k))
-    mat[0, :half] = p
-    mat[0, half:] = 1.0 - p
-    mat[1, :half] = 1.0 - p
-    mat[1, half:] = p
-    return mat
+    bits = np.asarray(bits, dtype=float)
+    if bits.ndim != 2 or bits.shape[0] != model.k:
+        raise ValueError(f"expected shape ({model.k}, m), got {bits.shape}")
+    totals = base * model.k + step * bits.sum(axis=0)
+    out = np.zeros(bits.shape[1])
+    return np.divide(model.k * (model.y @ bits) ** 2, totals, out=out, where=totals > 0.0)
 
 
 def sign_fisher_info(params: PrivacyParams) -> float:

@@ -4,6 +4,11 @@ No command runs these, so they live beside the tests rather than in
 ``ldpmean``; the file name keeps pytest from collecting it.
 
 * ``verify_ldp``: the epsilon-LDP ratio bound of a channel matrix.
+* ``dense_row_information``, ``fisher_info_quantized`` and
+  ``embed_sign_channel``: the information k (v . y)^2 / (v . 1) of channel
+  rows in probability form, the information of a whole channel, and the
+  sign mechanism as a level-k channel.  They are the independent reference
+  for the bit form ``quantized.row_information_many``.
 * ``staircase_matrix`` and ``mechanism_from_solution``: the dense staircase
   matrix S = 1 + s * bits of a bit-form program, and the channel a primal
   solution encodes.
@@ -24,6 +29,8 @@ import math
 import numpy as np
 
 from ldpmean.lp import PrimalSolution, StaircaseLp
+from ldpmean.mechanisms import PrivacyParams
+from ldpmean.quantized import QuantizedModel
 
 
 def verify_ldp(Q, epsilon: float, tol: float = 1e-12) -> bool:
@@ -43,6 +50,64 @@ def verify_ldp(Q, epsilon: float, tol: float = 1e-12) -> bool:
     row_max = mat.max(axis=1)
     row_min = mat.min(axis=1)
     return bool(np.all(row_max <= bound * row_min + tol))
+
+
+def dense_row_information(V, model: QuantizedModel) -> np.ndarray:
+    """Information k * (v . y)^2 / (v . 1) of each column v of a (k, m) array.
+
+    Each column holds the nonnegative channel weights one output row
+    assigns to the k input cells.  A zero column contributes exactly 0
+    (explicit branch, never 0/0): that output symbol is never emitted.
+    """
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[0] != model.k:
+        raise ValueError(f"expected shape ({model.k}, m), got {V.shape}")
+    dots = model.y @ V
+    totals = V.sum(axis=0)
+    out = np.zeros(V.shape[1])
+    nz = totals > 0.0
+    out[nz] = model.k * dots[nz] ** 2 / totals[nz]
+    return out
+
+
+def fisher_info_quantized(Q, model: QuantizedModel) -> float:
+    """Fisher information about the mean released by channel ``Q``.
+
+    ``Q`` is an (m, k) nonnegative, column-stochastic matrix acting on the
+    k quantizer cells (a negative or NaN entry is a ValueError); m may be
+    smaller than k when all-zero output rows were dropped.  The value is
+    the sum of ``dense_row_information`` over the rows of Q, so all-zero
+    rows contribute 0.  It does not depend on the true mean, so no
+    location argument exists.
+    """
+    mat = np.asarray(Q, dtype=float)
+    if mat.ndim != 2 or mat.shape[1] != model.k:
+        raise ValueError(f"channel must be 2-d with {model.k} columns, got shape {mat.shape}")
+    if not np.all(mat >= 0.0):
+        raise ValueError("channel matrix must be entrywise nonnegative")
+    if not np.all(np.abs(mat.sum(axis=0) - 1.0) <= 1e-6):
+        raise ValueError("channel matrix must be column-stochastic")
+    return float(dense_row_information(mat.T, model).sum())
+
+
+def embed_sign_channel(params: PrivacyParams, k: int) -> np.ndarray:
+    """Sign mechanism as a level-k channel: its two live output rows, shape (2, k).
+
+    Output row 0 aggregates the lower half of the input cells with
+    keep-probability p_eps and row 1 its complement; a level-k channel's
+    other k - 2 output symbols would never be emitted, so they are left
+    out.  Its information equals ``sign_fisher_info`` for every even k.
+    """
+    if k < 2 or k % 2 != 0:
+        raise ValueError(f"embedding requires an even k >= 2, got {k!r}")
+    p = params.p_eps
+    half = k // 2
+    mat = np.empty((2, k))
+    mat[0, :half] = p
+    mat[0, half:] = 1.0 - p
+    mat[1, :half] = 1.0 - p
+    mat[1, half:] = p
+    return mat
 
 
 def staircase_matrix(lp: StaircaseLp) -> np.ndarray:

@@ -142,6 +142,20 @@ class TestFisher:
             payload["sign_fisher_info"], abs=1e-12)
         assert peak < 32 * 2 ** 20
 
+    @pytest.mark.parametrize("k", [2, 8, 1024, MAX_LEVEL])
+    def test_quantized_check_keeps_its_digits(self, capsys, k):
+        # the budget sits in the step t of the sign bit's rows, not in the last bits of p_eps
+        mpmath = pytest.importorskip("mpmath")
+        for eps in ("1e-15", "1e-12", "1e-8", "1", "40", "800", "inf"):
+            code, out, _ = run_cli(capsys, "fisher", "--epsilon", eps, "--k", str(k))
+            assert code == EXIT_OK
+            value = json.loads(out)["quantized_check"]
+            with mpmath.workdps(50):
+                exact = 2 / mpmath.pi * mpmath.tanh(mpmath.mpf(float(eps)) / 2) ** 2
+                assert abs(mpmath.mpf(value) / exact - 1) <= 1e-13, (eps, value)
+        code, out, _ = run_cli(capsys, "fisher", "--epsilon", "0", "--k", str(k))
+        assert code == EXIT_OK and json.loads(out)["quantized_check"] == 0.0
+
     def test_square_of_sigma_underflows(self, capsys):
         code, out, err = run_cli(capsys, "fisher", "--epsilon", "1", "--sigma", "1e-170")
         assert code == EXIT_OK, err
@@ -303,6 +317,19 @@ class TestConfigParsing:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("kind, n, n1", [("one", 8, None), ("two", 2000, 8)])
+    def test_mean_bit_one_ulp_inside_the_clamp_is_finite(self, tmp_path, capsys, kind, n, n1):
+        # eight-sample groups reach z_bar = -0.75, one ulp inside t_eps = 0.7500000000000001
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kind = {kind}\nepsilon = 1.9459101490553135\ntheta_true = 0\n"
+                       f"theta0 = 0\nn = {n}\nreplicates = 1000\nsweep = n\n"
+                       f"sweep_values = {n}\n" + (f"n1 = {n1}\n" if n1 else ""))
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "simulate", str(cfg), "--seed", "1", "--output", str(out))
+        assert code == EXIT_OK, err
+        row = out.read_text().splitlines()[1].split(",")
+        assert all(math.isfinite(float(value)) for value in row[1:])
+
     def test_writes_csv_and_manifest(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL_CFG)
@@ -632,6 +659,14 @@ class TestSimulate:
 
 
 class TestEstimate:
+    def test_mean_bit_one_ulp_inside_the_clamp_is_finite(self, capsys):
+        # seven of eight bits are -1: z_bar = -0.75, one ulp inside t_eps = 0.7500000000000001
+        code, out, err = run_cli(capsys, "estimate", "--kind", "one",
+                                 "--epsilon", "1.9459101490553135", "--seed", "8",
+                                 "--synthetic", "--n", "8")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["theta_hat"] == pytest.approx(-8.25808370321511, rel=1e-12)
+
     def test_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["estimate", "--epsilon", "1", "--seed", "1",
                                           "--synthetic"])

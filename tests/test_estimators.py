@@ -23,8 +23,8 @@ from ldpmean.estimators import (
 )
 from ldpmean.mechanisms import privacy_params, sign_mechanism
 from ldpmean.numerics import std_normal_cdf
-from ldpmean.quantized import embed_sign_channel, sign_fisher_info
-from oracles import verify_ldp
+from ldpmean.quantized import sign_fisher_info
+from oracles import embed_sign_channel, verify_ldp
 
 
 class CountingRng:
@@ -58,6 +58,20 @@ class TestInvertMean:
     def test_zero_budget_always_clamps(self):
         params = privacy_params(0.0)
         assert invert_mean(0.0, 1.0, params) == 1.0
+
+    @pytest.mark.parametrize("eps, z_bar", [(1.9459101490553135, -0.75),
+                                            (2.944438979166441, -0.9)])
+    def test_argument_rounding_to_one_inverts_through_the_lower_tail(self, eps, z_bar):
+        # t_eps is one ulp above |z_bar|, so 1/2 - z_bar / (2 t) rounds to 1
+        mpmath = pytest.importorskip("mpmath")
+        params = privacy_params(eps)
+        assert abs(z_bar) < params.t_eps and 0.5 - z_bar / (2.0 * params.t_eps) == 1.0
+        value = invert_mean(z_bar, 0.0, params)
+        with mpmath.workdps(50):
+            # -Phi^-1(1/2 - z / (2t)) = -sqrt(2) erfinv(-z / t)
+            exact = -mpmath.sqrt(2) * mpmath.erfinv(-mpmath.mpf(z_bar) / mpmath.mpf(params.t_eps))
+            assert abs(mpmath.mpf(value) / exact - 1) <= 1e-12, value
+        assert invert_mean(z_bar, 1.0, params, sigma=2.0) == 1.0 + 2.0 * value
 
     @pytest.mark.parametrize("eps", [0.5, 1.0])
     @pytest.mark.parametrize("offset", [-2.0, -1.0, 0.0, 0.5, 2.0])

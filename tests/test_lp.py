@@ -18,17 +18,14 @@ from ldpmean.lp import (
     solve_primal,
 )
 from ldpmean.mechanisms import privacy_params
-from ldpmean.quantized import (
-    MAX_LEVEL,
-    build_quantized_model,
-    embed_sign_channel,
-    fisher_info_quantized,
-    row_information_many,
-)
+from ldpmean.quantized import MAX_LEVEL, build_quantized_model
 from oracles import (
     certificate_margin,
     certificate_margin_lower,
     certificate_margin_upper,
+    dense_row_information,
+    embed_sign_channel,
+    fisher_info_quantized,
     interior_stationarity,
     mechanism_from_solution,
     staircase_matrix,
@@ -76,7 +73,7 @@ def direct_slack(column, k, params):
     bits = np.array([(column >> (k - 1 - i)) & 1 for i in range(k)])
     col = bits * (math.exp(params.epsilon) - 1.0) + 1.0
     beta = dual_certificate(k, params)
-    return float(col @ beta) - row_information_many(col[:, None], build_quantized_model(k))[0]
+    return float(col @ beta) - dense_row_information(col[:, None], build_quantized_model(k))[0]
 
 
 class TestBuildStaircase:
@@ -113,7 +110,7 @@ class TestBuildStaircase:
         lp = build_staircase_lp(k, privacy_params(0.9))
         model = build_quantized_model(k)
         S = staircase_matrix(lp)
-        each = [row_information_many(S[:, j:j + 1], model)[0] for j in range(2 ** k)]
+        each = [dense_row_information(S[:, j:j + 1], model)[0] for j in range(2 ** k)]
         assert np.allclose(lp.mu_vec, each, atol=1e-15)
 
     @pytest.mark.parametrize("eps", [1e-12, 0.5, 3.0])
@@ -385,7 +382,7 @@ class TestDualFeasibility:
         beta = dual_certificate(k, params)
         bits = np.array([(report.worst_column >> (k - 1 - i)) & 1 for i in range(k)])
         col = bits * (math.exp(3.0) - 1.0) + 1.0
-        slack = float(col @ beta) - row_information_many(col[:, None], model)[0]
+        slack = float(col @ beta) - dense_row_information(col[:, None], model)[0]
         assert slack == pytest.approx(report.worst_slack, abs=1e-12)
 
     @pytest.mark.parametrize("k", range(2, 17, 2))

@@ -10,8 +10,7 @@ from ldpmean.mechanisms import (
     sign_mechanism,
 )
 from ldpmean.numerics import std_normal_cdf
-from ldpmean.quantized import embed_sign_channel
-from oracles import verify_ldp
+from oracles import embed_sign_channel, verify_ldp
 
 
 class TestPrivacyParams:

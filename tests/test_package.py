@@ -40,11 +40,13 @@ print(json.dumps({"after_lp": after_lp, "not_submodules": not_submodules,
                   "modules": sorted(m.__name__ for m in modules), "defined": defined}))
 """
 
-# Reference forms that only the tests use live in tests/oracles.py; two duplicates
-# are gone (rr_matrix is embed_sign_channel(params, 2), row_information is
-# row_information_many of one column).  No ldpmean module may define any of them.
+# Reference forms that only the tests use live in tests/oracles.py, among them the
+# probability form of the row information that quantized.row_information_many computes
+# in bit form; two duplicates are gone (rr_matrix is embed_sign_channel(params, 2),
+# row_information is one column of the dense form).  No ldpmean module may define any of them.
 ORACLES = ["verify_ldp", "staircase_matrix", "mechanism_from_solution", "certificate_margin",
-           "certificate_margin_upper", "certificate_margin_lower", "interior_stationarity"]
+           "certificate_margin_upper", "certificate_margin_lower", "interior_stationarity",
+           "dense_row_information", "fisher_info_quantized", "embed_sign_channel"]
 DELETED = ["rr_matrix", "row_information"]
 
 

@@ -16,6 +16,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,6 +159,10 @@ def test_fisher_ends_in_an_exit_code(epsilon, sigma, k):
     code, out = _run(argv)
     assert code in EXIT_CODES
     assert "nan" not in out
+    if code == 0 and k is not None:
+        payload = json.loads(out)
+        assert payload["quantized_check"] == pytest.approx(payload["sign_fisher_info"],
+                                                           rel=1e-12, abs=1e-300)
 
 
 @PROPERTY_SETTINGS

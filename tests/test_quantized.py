@@ -6,13 +6,8 @@ import pytest
 
 from ldpmean.mechanisms import privacy_params
 from ldpmean.numerics import std_normal_pdf, std_normal_quantile
-from ldpmean.quantized import (
-    build_quantized_model,
-    embed_sign_channel,
-    fisher_info_quantized,
-    row_information_many,
-    sign_fisher_info,
-)
+from ldpmean.quantized import build_quantized_model, row_information_many, sign_fisher_info
+from oracles import dense_row_information, embed_sign_channel, fisher_info_quantized
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -64,33 +59,57 @@ class TestBuildModel:
 
 class TestRowInformation:
     def test_uniform_and_zero_rows(self):
+        # rows 1 (all bits set at base 0, step 1) and 0 (none set)
         model = build_quantized_model(6)
-        rows = np.stack([np.ones(6), np.zeros(6)], axis=1)
-        assert row_information_many(rows, model).tolist() == [0.0, 0.0]  # sum(y) = 0
+        bits = np.stack([np.ones(6), np.zeros(6)], axis=1)
+        assert row_information_many(bits, 0.0, 1.0, model).tolist() == [0.0, 0.0]  # sum(y) = 0
 
     def test_level_two_closed_form(self):
+        # the row (e, 1) is 1 + (e - 1) * (1, 0)
         model = build_quantized_model(2)
         e = math.e
-        (value,) = row_information_many(np.array([[e], [1.0]]), model)
+        (unit,) = row_information_many(np.array([[1.0], [0.0]]), 1.0, e - 1.0, model)
         expected = 2.0 * (PHI0 * (e - 1.0)) ** 2 / (e + 1.0)
         assert expected == pytest.approx(0.2527531738, abs=1e-9)
-        assert value == pytest.approx(expected, abs=1e-14)
+        assert (e - 1.0) ** 2 * unit == pytest.approx(expected, abs=1e-14)
 
     def test_vectorized_rejects_a_wrong_level(self):
         with pytest.raises(ValueError, match="expected shape"):
-            row_information_many(np.ones((5, 3)), build_quantized_model(4))
+            row_information_many(np.ones((5, 3)), 1.0, 1.0, build_quantized_model(4))
 
     def test_vectorized_agrees(self):
-        # each column against the scalar form k (v . y)^2 / (v . 1), zero column 0
+        # each column against the scalar form k (v . y)^2 / (v . 1) of v = base + step * b,
+        # over step^2; the zero row (base 0, no bit set) gives 0
         model = build_quantized_model(6)
         rng = np.random.default_rng(11)
-        V = rng.random((6, 40))
-        V[:, 0] = 0.0
-        many = row_information_many(V, model)
-        each = [6 * math.fsum(V[:, j] * model.y) ** 2 / math.fsum(V[:, j]) if j else 0.0
-                for j in range(40)]
-        assert many[0] == 0.0
-        assert np.allclose(many, each, atol=1e-15)
+        bits = (rng.random((6, 40)) < 0.5).astype(float)
+        bits[:, 0] = 0.0
+        for base, step in ((0.0, 0.7), (0.3, 2.5)):
+            many = row_information_many(bits, base, step, model)
+            each = []
+            for j in range(40):
+                v = base + step * bits[:, j]
+                each.append(6 * math.fsum(v * model.y) ** 2 / math.fsum(v) / step ** 2
+                            if v.any() else 0.0)
+            assert np.allclose(many, each, rtol=1e-13, atol=1e-15)
+        assert row_information_many(bits, 0.0, 0.7, model)[0] == 0.0
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 3.0])
+    def test_matches_the_dense_oracle(self, eps):
+        # s^2 times the bit form against the probability form of the rows 1 + s * b
+        model = build_quantized_model(10)
+        s = math.expm1(eps)
+        bits = (np.random.default_rng(5).random((10, 300)) < 0.5).astype(float)
+        bit_form = s * s * row_information_many(bits, 1.0, s, model)
+        dense = dense_row_information(1.0 + s * bits, model)
+        # a mirror-symmetric word carries exactly 0, where the dense form keeps ~1e-32 of round-off
+        mirrored = (bits == bits[::-1]).all(axis=0)
+        assert mirrored.any() and not bit_form[mirrored].any()
+        assert np.allclose(bit_form, dense, rtol=1e-12, atol=1e-30)
+
+    def test_dense_oracle_rejects_a_wrong_level(self):
+        with pytest.raises(ValueError, match="expected shape"):
+            dense_row_information(np.ones((5, 3)), build_quantized_model(4))
 
 
 class TestFisherInfo:

@@ -6,8 +6,9 @@
 every traced pass, so installing the tracer must keep working.  It also
 replaces ``sim.np`` and the process pool, so a traced run must give the
 untraced run's results and send its tasks through the traced pool.
-``lp.equality_chain`` calls its steps by their module-level names, so a
-traced chain records a span for each of them.
+``lp.equality_chain`` calls its steps, and they call the row-information
+kernel, by their module-level names, so a traced chain records a span for
+each of them.
 """
 
 import subprocess
@@ -72,4 +73,5 @@ def test_traced_chain_records_every_step():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     names = set(proc.stdout.split())
-    assert {"lp.build", "lp.simplex", "lp.cert", "lp.sweep"} <= names, names
+    assert {"lp.build", "lp.simplex", "lp.cert", "lp.sweep",
+            "quantized.row_information_many"} <= names, names
