@@ -272,7 +272,8 @@ def _cmd_estimate(args) -> int:
     elif args.n < 1:
         raise _UsageError(f"--n must be >= 1, got {args.n}")
     else:
-        data = synthetic_sample(args.n, args.theta, args.sigma, rng)
+        with np.errstate(over="ignore"):  # the finite check below rejects such data
+            data = synthetic_sample(args.n, args.theta, args.sigma, rng)
     if not data.size:
         raise ValueError("no data values")
     if not np.isfinite(data).all():

@@ -9,8 +9,9 @@ bits there, which restores full asymptotic efficiency.  The three-stage
 estimator prepends an adaptive bisection over a known range to produce
 the pilot's initial guess when none is available.
 
-Data enters in caller order: the first n1 samples form stage one, and
-for the three-stage variant the first n0 samples feed the bisection.
+Data enters in caller order, as ``layout`` plans it: the first n1
+samples form stage one, and for the three-stage variant the first bits *
+floor(n0 / bits) samples feed the bisection and the pilot starts at n0.
 Callers shuffle if their data is not exchangeable.
 """
 
@@ -93,26 +94,23 @@ def invert_mean(z_bar: float, center: float, params: PrivacyParams,
     return center + sigma * std_normal_quantile((t + z_bar) / (2.0 * t))
 
 
-def _stage(x: np.ndarray, u: np.ndarray, centers, params: PrivacyParams,
-           sigma: float) -> tuple[list, list[bool]]:
-    """Sanitize one group per row, row i at ``centers[i]``, and invert each mean bit.
-
-    S / m is the same float as the mean of the materialized +/-1 bits:
-    that mean sums exact integers in float64 and divides once.
-    """
-    estimates, clamped = [], []
-    for total, center in zip(released_bit_sums(x, u, centers, params.p_eps), centers):
-        z_bar = total / x.shape[1]
-        estimates.append(invert_mean(z_bar, center, params, sigma))
-        clamped.append(not abs(z_bar) < params.t_eps)
-    return estimates, clamped
-
-
 ESTIMATOR_KINDS = ("one", "two", "three")
 
 
-def layout(kind: str, n: int, config: EstimatorConfig) -> tuple[int, int]:
-    """Samples the bisection queries and pilot size, ``(bisected, n1)``, of ``kind`` on n samples.
+def layout(kind: str, n: int, config: EstimatorConfig) -> tuple[list, list]:
+    """The plan of ``kind`` on n samples: ``(rounds, stages)``, its bit groups in order.
+
+    Each group is a pair of slices, its samples' columns of x and its uniforms'
+    columns of u, and enters the estimate only through its count of released
+    +1 bits.  ``rounds`` holds the bisection, empty but for ``three``: ``bits``
+    rounds of floor(n0 / bits) fresh samples each, round b releasing sign bits
+    at the current interval midpoint and recursing toward the half the count
+    points at (ties go up, matching sgn(0) := 1).  The n0 - bits * floor(n0 /
+    bits) leftover samples are never queried and draw no uniforms, so from
+    there on the x columns run that many ahead of the u columns.
+    The final midpoint, whose resolution is (range width) / 2^bits, is the
+    first center of ``stages``: the whole sample for ``one``, else a pilot of
+    n1 samples and the rest of the sample, centered at the pilot's estimate.
 
     The only function that knows each kind, so the only layout check: a
     ValueError names an unknown kind or a layout that does not fit n.
@@ -120,63 +118,69 @@ def layout(kind: str, n: int, config: EstimatorConfig) -> tuple[int, int]:
     if kind == "one":
         if n < 1:
             raise ValueError("one_stage requires at least one sample")
-        return 0, 0
+        return [], [(slice(0, n),) * 2]
     if kind == "two":
         n1 = config.n1 if config.n1 is not None else default_n1(n)
         if not 1 <= n1 < n:
             raise ValueError(f"need 1 <= n1 < n, got n1={n1}, n={n}")
-        return 0, n1
+        return [], [(slice(0, n1),) * 2, (slice(n1, n),) * 2]
     if kind != "three":
         raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
-    n0, rounds = config.n0, config.bits
-    if rounds < 1:
-        raise ValueError(f"bits must be >= 1, got {rounds}")
-    if n0 < rounds:
-        raise ValueError(f"need n0 >= bits, got n0={n0}, bits={rounds}")
+    n0, bits = config.n0, config.bits
+    if bits < 1:
+        raise ValueError(f"bits must be >= 1, got {bits}")
+    if n0 < bits:
+        raise ValueError(f"need n0 >= bits, got n0={n0}, bits={bits}")
     if not config.range_lo < config.range_hi:
         raise ValueError("need range_lo < range_hi")
     # default_n1 of a non-positive count would be complex; such n fail below
     n1 = config.n1 if config.n1 is not None else default_n1(max(1, n - n0))
     if not 1 <= n1 or n0 + n1 >= n:
         raise ValueError(f"need 1 <= n1 and n0 + n1 < n, got n0={n0}, n1={n1}, n={n}")
-    return rounds * (n0 // rounds), n1
+    group = n0 // bits
+    bisected = bits * group
+    rounds = [(slice(b * group, (b + 1) * group),) * 2 for b in range(bits)]
+    return rounds, [(slice(n0, n0 + n1), slice(bisected, bisected + n1)),
+                    (slice(n0 + n1, n), slice(bisected + n1, bisected + n - n0))]
 
 
 def stage_rows(kind: str, x: np.ndarray, u: np.ndarray, config: EstimatorConfig):
-    """Run ``kind`` on each row of ``x`` (one dataset) with its ``released_bits`` uniforms ``u``.
+    """Run ``kind`` on each row of ``x`` (one dataset) and ``u``, at least the uniforms it reads.
 
-    Any bisection rounds run first; each later stage is centered at the
-    previous one's estimates.  Returns per stage all rows' estimates and flags.
+    Walks the plan: each group is counted (``released_bit_sums``) at the
+    rows' centers, and the counts alone move the centers.  A round goes up
+    where its count is >= 0; a stage of m samples inverts count / m, the
+    mean of its bits (``invert_mean``), and flags |z_bar| >= t_eps.  Returns
+    per stage, the bisection's last midpoint first, all rows' estimates and flags.
     """
-    n = x.shape[1]
-    bisected, n1 = layout(kind, n, config)
+    rounds, stages = layout(kind, x.shape[1], config)
     params = privacy_params(config.epsilon)
     centers = [config.theta0] * len(x)
     estimates, clamped = [], []
-    if bisected:
-        group = bisected // config.bits
+    if rounds:
         lo, hi = (np.full(len(x), end, dtype=float) for end in (config.range_lo, config.range_hi))
-        for b in range(config.bits):
+        for xs, us in rounds:
             mid = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 would overflow near the largest double
-            cols = slice(b * group, (b + 1) * group)
-            up = np.array(released_bit_sums(x[:, cols], u[:, cols], mid, params.p_eps)) >= 0
+            up = np.array(released_bit_sums(x[:, xs], u[:, us], mid, params.p_eps)) >= 0
             lo = np.where(up, mid, lo)
             hi = np.where(up, hi, mid)
         centers = (lo / 2.0 + hi / 2.0).tolist()
         estimates.append(centers)
         clamped.append([False] * len(x))
-        x, u = x[:, config.n0:], u[:, bisected:bisected + n - config.n0]
-    for cut in (slice(n1), slice(n1, None)) if n1 else (slice(None),):
-        centers, flags = _stage(x[:, cut], u[:, cut], centers, params, config.sigma)
+    for xs, us in stages:
+        # count / m is the mean of the materialized +/-1 bits: exact integers summed, one division
+        z_bars = [count / (xs.stop - xs.start)
+                  for count in released_bit_sums(x[:, xs], u[:, us], centers, params.p_eps)]
+        centers = [invert_mean(z, c, params, config.sigma) for z, c in zip(z_bars, centers)]
         estimates.append(centers)
-        clamped.append(flags)
+        clamped.append([not abs(z) < params.t_eps for z in z_bars])
     return estimates, clamped
 
 
 def released_bits(kind: str, n: int, config: EstimatorConfig) -> int:
-    """Uniforms the ``kind`` estimator draws on n samples, after checking its ``layout``."""
-    bisected, _ = layout(kind, n, config)
-    return n - config.n0 + bisected if bisected else n
+    """Uniforms the ``kind`` estimator draws on n samples: the end of its plan's last u slice."""
+    _, stages = layout(kind, n, config)
+    return stages[-1][1].stop
 
 
 def estimate(kind: str, data, config: EstimatorConfig,
@@ -207,16 +211,7 @@ def two_stage(data, config: EstimatorConfig,
 
 def three_stage(data, config: EstimatorConfig,
                 rng: np.random.Generator) -> EstimateResult:
-    """Bisection over a known range, then the two-stage procedure.
-
-    The preliminary stage runs ``bits`` rounds, each consuming
-    floor(n0 / bits) fresh samples: round b releases sign bits at the
-    current interval midpoint and recurses toward the half the mean bit
-    points at (ties go up, matching sgn(0) := 1).  Any n0 - bits *
-    floor(n0 / bits) leftover samples are never queried.  The final
-    midpoint, whose resolution is (range width) / 2^bits, seeds the
-    two-stage run on the remaining n - n0 samples.
-    """
+    """Bisection over a known range, then the two-stage procedure (see ``layout``)."""
     return estimate("three", data, config, rng)
 
 

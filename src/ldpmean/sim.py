@@ -124,7 +124,8 @@ _CSV_FORMATS = [(f.name, str if f.type == "int" else _fmt) for f in fields(MseRe
 def _to_data_units(x: np.ndarray, theta: float, sigma: float) -> np.ndarray:
     """Scale standard normals ``x`` by sigma, then shift them by theta, in place.
 
-    The CSV bytes at a pinned seed depend on this order and on the skips.
+    The CSV bytes at a pinned seed depend on this order.  The skips save two
+    passes over the block; the bytes do not depend on them.
     """
     if sigma != 1.0:
         x *= sigma
@@ -154,8 +155,8 @@ def _validate(config: ExperimentConfig) -> None:
         if config.sweep_name != "theta0" and not float(value).is_integer():
             raise ValueError(f"{config.sweep_name} sweep values must be integers, got {value!r}")
         n, theta_n, est_cfg = _point_setup(config, value)
-        bisected, _ = layout(config.kind, n, est_cfg)
-        _check_overflow(config, n, theta_n, est_cfg, bisected > 0)
+        rounds, _ = layout(config.kind, n, est_cfg)
+        _check_overflow(config, n, theta_n, est_cfg, bool(rounds))
         total += n * config.replicates
     if total > config.max_total_draws:
         raise BudgetError(

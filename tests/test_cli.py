@@ -667,6 +667,15 @@ class TestEstimate:
         assert code == EXIT_OK, err
         assert json.loads(out)["theta_hat"] == pytest.approx(-8.25808370321511, rel=1e-12)
 
+    def test_synthetic_overflow_is_one_usage_line(self, capsys):
+        # sigma * x + theta overflows for some draws; no numpy warning may escape
+        code, out, err = run_cli(capsys, "estimate", "--epsilon", "1", "--seed", "1",
+                                 "--synthetic", "--n", "10", "--sigma", "1e308",
+                                 "--theta", "1e308")
+        assert code == EXIT_USAGE
+        assert err == "usage error: data values must be finite\n"
+        assert out == ""
+
     def test_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["estimate", "--epsilon", "1", "--seed", "1",
                                           "--synthetic"])

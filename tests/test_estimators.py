@@ -427,18 +427,27 @@ class TestStageRows:
             stage_rows("four", x, u, EstimatorConfig(epsilon=1.0))
 
 
+def width(cols):
+    return cols.stop - cols.start
+
+
+def pilot_size(kind, n, cfg):
+    """Samples in the first stage of the ``kind`` plan on n samples."""
+    return width(layout(kind, n, cfg)[1][0][0])
+
+
 class TestPilotSizes:
     def test_two_stage_pilot(self):
-        assert layout("two", 10 ** 5, EstimatorConfig(epsilon=1.0))[1] == 3162
-        assert layout("two", 100, EstimatorConfig(epsilon=1.0, n1=99))[1] == 99
+        assert pilot_size("two", 10 ** 5, EstimatorConfig(epsilon=1.0)) == 3162
+        assert pilot_size("two", 100, EstimatorConfig(epsilon=1.0, n1=99)) == 99
         for n1, n in ((0, 100), (100, 100), (-1, 100)):
             with pytest.raises(ValueError, match="n1"):
                 layout("two", n, EstimatorConfig(epsilon=1.0, n1=n1))
 
     def test_three_stage_pilot(self):
         cfg = EstimatorConfig(epsilon=1.0, n0=1000, bits=7)
-        assert layout("three", 1100, cfg)[1] == default_n1(100)
-        assert layout("three", 1100, EstimatorConfig(epsilon=1.0, n0=1000, n1=99))[1] == 99
+        assert pilot_size("three", 1100, cfg) == default_n1(100)
+        assert pilot_size("three", 1100, EstimatorConfig(epsilon=1.0, n0=1000, n1=99)) == 99
 
     @pytest.mark.parametrize("n", [1, 999, 1000, 1001])
     def test_three_stage_sample_too_small(self, n):
@@ -452,6 +461,50 @@ class TestPilotSizes:
     def test_three_stage_explicit_zero_pilot(self):
         with pytest.raises(ValueError, match="1 <= n1"):
             layout("three", 5000, EstimatorConfig(epsilon=1.0, n0=1000, n1=0))
+
+
+class TestPlan:
+    """``layout`` states every bit group's columns; each check recomputes them from n, n0, bits, n1."""
+
+    # n0 = 10, 50 and 703 leave samples the bisection never queries; n1 = None is the default
+    GRID = [(n, n0, bits, n1) for n in (60, 1000, 10 ** 5) for n0, bits in
+            ((7, 7), (10, 3), (50, 7), (51, 1), (703, 7)) for n1 in (None, 1, 9) if n0 + 9 < n]
+
+    def plans(self):
+        for n, n0, bits, n1 in self.GRID:
+            cfg = EstimatorConfig(epsilon=1.0, n0=n0, bits=bits, n1=n1)
+            for kind in ESTIMATOR_KINDS:
+                yield kind, n, cfg, layout(kind, n, cfg)
+
+    def test_x_groups_cover_every_queried_sample_in_order(self):
+        for kind, n, cfg, (rounds, stages) in self.plans():
+            cols = [c for xs, _ in rounds + stages for c in range(xs.start, xs.stop)]
+            leftover = cfg.n0 % cfg.bits if kind == "three" else 0
+            expect = [c for c in range(n) if not cfg.n0 - leftover <= c < cfg.n0]
+            assert cols == expect, (kind, n, cfg)
+
+    def test_u_groups_tile_the_released_bits(self):
+        for kind, n, cfg, (rounds, stages) in self.plans():
+            cols = [c for _, us in rounds + stages for c in range(us.start, us.stop)]
+            assert cols == list(range(released_bits(kind, n, cfg))), (kind, n, cfg)
+
+    def test_each_group_reads_one_uniform_per_sample(self):
+        for kind, n, cfg, (rounds, stages) in self.plans():
+            assert all(width(xs) == width(us) for xs, us in rounds + stages), (kind, n, cfg)
+
+    def test_round_and_stage_sizes(self):
+        for kind, n, cfg, (rounds, stages) in self.plans():
+            sizes = [width(xs) for xs, _ in stages]
+            n1 = cfg.n1
+            if kind == "one":
+                assert (rounds, sizes) == ([], [n])
+            elif kind == "two":
+                n1 = default_n1(n) if n1 is None else n1
+                assert (rounds, sizes) == ([], [n1, n - n1])
+            else:
+                n1 = default_n1(n - cfg.n0) if n1 is None else n1
+                assert [width(xs) for xs, _ in rounds] == [cfg.n0 // cfg.bits] * cfg.bits
+                assert sizes == [n1, n - cfg.n0 - n1]
 
 
 class TestPrivacyAudit:
