@@ -11,6 +11,9 @@ failure, 3 I/O, 4 budget.  All randomness flows from the --seed flag;
 ``simulate`` refuses to run without one.  The manifest written next to
 every CSV is itself a valid config file (metadata lives in comments), so
 re-running it with the recorded seed reproduces the CSV byte for byte.
+
+Importing this module and building its parser loads no numpy: a command
+loads the modules it calls when it first calls them (``__getattr__``).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import json
 import locale  # noqa: F401  argparse's gettext imports it at the first parse; load it with the CLI
 import math
@@ -25,15 +29,13 @@ import os
 import re
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .estimators import ESTIMATOR_KINDS, EstimatorConfig, estimate, optimal_asymptotic_variance
-from .lp import MAX_SOLVE_K, equality_chain
-from .mechanisms import privacy_params
-from .quantized import build_quantized_model, row_information_many, sign_fisher_info
-from .sim import BudgetError, ExperimentConfig, results_to_csv, run_experiment, synthetic_sample
+from .schema import ESTIMATOR_KINDS, MAX_SOLVE_K, EstimatorConfig
+
+if TYPE_CHECKING:
+    from .sim import ExperimentConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,6 +43,32 @@ EXIT_VERIFY = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
 
+
+# The names the commands call, each loaded from its module on first use.  A
+# command looks each up on this module (``_cli``) at call time, so a name
+# rebound here (perfbench/layertrace.py, the tests) is the one that runs.
+_LAZY = {
+    "np": "numpy",
+    **dict.fromkeys(["BudgetError", "results_to_csv", "run_experiment", "synthetic_sample"],
+                    ".sim"),
+    **dict.fromkeys(["estimate", "optimal_asymptotic_variance"], ".estimators"),
+    "equality_chain": ".lp",
+    "privacy_params": ".mechanisms",
+    **dict.fromkeys(["build_quantized_model", "row_information_many", "sign_fisher_info"],
+                    ".quantized"),
+}
+
+
+def __getattr__(name: str):
+    """Import a name of ``_LAZY`` and keep it in the module globals (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(_LAZY[name], __package__)
+    value = globals()[name] = module if name == "np" else getattr(module, name)
+    return value
+
+
+_cli = sys.modules[__name__]
 
 _NEGATIVE_NUMBER = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)\Z", re.I)
 
@@ -101,9 +129,6 @@ def _real_list(raw: str) -> tuple[float, ...]:
     return values
 
 
-# Config-file key -> ExperimentConfig field; master_seed comes from --seed.
-_CONFIG_FIELDS = {f.metadata.get("key", f.name): f
-                  for f in dataclasses.fields(ExperimentConfig) if f.name != "master_seed"}
 # Keyed by the annotation text (annotations are postponed, hence strings).
 _CONVERTERS = {"str": str, "int": int, "int | None": int, "float": real,
                "tuple[float, ...]": _real_list}
@@ -128,30 +153,46 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def _converter(key: str):
-    """Parser of one config key's text; also the ``type`` of its estimate flag."""
-    return float if key == "epsilon" else _CONVERTERS[_CONFIG_FIELDS[key].type]
+def _converter(f: dataclasses.Field):
+    """Parser of one field's text: a config key's, or the ``type`` of an estimate flag."""
+    return float if f.name == "epsilon" else _CONVERTERS[f.type]
 
 
-def _convert(key: str, raw: str):
+def _convert(key: str, f: dataclasses.Field, raw: str):
     try:
-        return _converter(key)(raw)
+        return _converter(f)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
+
+
+@functools.cache
+def _config_fields() -> dict[str, dataclasses.Field]:
+    """Config-file key -> ``sim.ExperimentConfig`` field, built at the first config parse.
+
+    master_seed comes from --seed.  The estimate flags, which the parser
+    needs, come from ``EstimatorConfig`` instead: same types and defaults.
+    """
+    from .sim import ExperimentConfig
+
+    return {f.metadata.get("key", f.name): f
+            for f in dataclasses.fields(ExperimentConfig) if f.name != "master_seed"}
 
 
 def experiment_config_from_text(text: str, master_seed: int,
                                 replicates_override: int | None = None) -> ExperimentConfig:
     """Build an ``ExperimentConfig`` from config-file text plus the seed flag."""
+    from .sim import ExperimentConfig
+
+    fields = _config_fields()
     raw = parse_kv(text)
-    unknown = set(raw) - set(_CONFIG_FIELDS)
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = [key for key, f in _CONFIG_FIELDS.items()
+    missing = [key for key, f in fields.items()
                if f.default is dataclasses.MISSING and key not in raw]
     if missing:
         raise ConfigError(f"missing required config keys: {missing}")
-    values = {_CONFIG_FIELDS[k].name: _convert(k, v) for k, v in raw.items()}
+    values = {fields[k].name: _convert(k, fields[k], v) for k, v in raw.items()}
     if replicates_override is not None:
         values["replicates"] = replicates_override
     return ExperimentConfig(master_seed=master_seed, **values)
@@ -169,7 +210,7 @@ def manifest_text(config: ExperimentConfig, output_path: str) -> str:
         f"# master_seed = {config.master_seed}",
         f"# output_csv = {output_path}",
     ]
-    for key, f in _CONFIG_FIELDS.items():
+    for key, f in _config_fields().items():
         value = getattr(config, f.name)
         if isinstance(value, tuple):
             value = ",".join(map(str, value))
@@ -181,26 +222,26 @@ def manifest_text(config: ExperimentConfig, output_path: str) -> str:
 # --- subcommands ------------------------------------------------------------
 
 def _cmd_fisher(args) -> int:
-    params = privacy_params(args.epsilon)
+    params = _cli.privacy_params(args.epsilon)
     payload = {
         "epsilon": args.epsilon,
         "t_eps": params.t_eps,
-        "sign_fisher_info": sign_fisher_info(params),
-        "optimal_variance": optimal_asymptotic_variance(params, args.sigma),
+        "sign_fisher_info": _cli.sign_fisher_info(params),
+        "optimal_variance": _cli.optimal_asymptotic_variance(params, args.sigma),
     }
     if args.k is not None:
-        model = build_quantized_model(args.k)
+        model = _cli.build_quantized_model(args.k)
         t = params.t_eps  # the sign bit's rows: (1 - t)/2, plus t on the lower or the upper half
-        halves = np.repeat(np.eye(2), args.k // 2, axis=0)
+        halves = _cli.np.repeat(_cli.np.eye(2), args.k // 2, axis=0)
         payload["quantized_check"] = t * t * float(
-            row_information_many(halves, (1.0 - t) / 2.0, t, model).sum())
+            _cli.row_information_many(halves, (1.0 - t) / 2.0, t, model).sum())
     _emit(payload)
     return EXIT_OK
 
 
 def _cmd_lp_verify(args) -> int:
-    params = privacy_params(args.epsilon)
-    report = equality_chain(args.k, params)
+    params = _cli.privacy_params(args.epsilon)
+    report = _cli.equality_chain(args.k, params)
     holds = report.pop("chain_holds")
     _emit(report)
     return EXIT_OK if holds else EXIT_VERIFY
@@ -224,13 +265,13 @@ def _cmd_simulate(args) -> int:
               "or it or its manifest is a directory", file=sys.stderr)
         return EXIT_IO
     try:
-        results = run_experiment(config, workers=args.workers)
-    except BudgetError as exc:
+        results = _cli.run_experiment(config, workers=args.workers)
+    except _cli.BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     try:
         _write_atomically([(manifest, manifest_text(config, str(out))),
-                           (out, results_to_csv(results, config.sweep_name))])
+                           (out, _cli.results_to_csv(results, config.sweep_name))])
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -255,13 +296,14 @@ def _write_atomically(files: list[tuple[Path, str]]) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _load_values(path: str) -> np.ndarray:
+def _load_values(path: str):
     with open(path) as fh:
         values = [float(line) for line in fh if line.strip()]
-    return np.asarray(values)
+    return _cli.np.asarray(values)
 
 
 def _cmd_estimate(args) -> int:
+    np = _cli.np
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     if args.input is not None:
         try:
@@ -273,14 +315,14 @@ def _cmd_estimate(args) -> int:
         raise _UsageError(f"--n must be >= 1, got {args.n}")
     else:
         with np.errstate(over="ignore"):  # the finite check below rejects such data
-            data = synthetic_sample(args.n, args.theta, args.sigma, rng)
+            data = _cli.synthetic_sample(args.n, args.theta, args.sigma, rng)
     if not data.size:
         raise ValueError("no data values")
     if not np.isfinite(data).all():
         raise ValueError("data values must be finite")
     cfg = EstimatorConfig(**{f.name: getattr(args, f.name)
                              for f in dataclasses.fields(EstimatorConfig)})
-    result = estimate(args.kind, data, cfg, rng)
+    result = _cli.estimate(args.kind, data, cfg, rng)
     if not np.isfinite(result.stage_estimates).all():
         raise ValueError("an estimate overflows float64; sigma or the data are too large")
     _emit({
@@ -323,10 +365,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="estimate from a data file or synthetic draws")
     p.add_argument("--kind", choices=ESTIMATOR_KINDS, default="two")
-    for key in (f.name for f in dataclasses.fields(EstimatorConfig)):
-        default = _CONFIG_FIELDS[key].default
-        p.add_argument("--" + key.replace("_", "-"), type=_converter(key),
-                       required=default is dataclasses.MISSING, default=default)
+    for f in dataclasses.fields(EstimatorConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=_converter(f),
+                       required=f.default is dataclasses.MISSING, default=f.default)
     p.add_argument("--seed", type=int, required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="newline-delimited reals")

@@ -27,32 +27,7 @@ from .mechanisms import PrivacyParams, privacy_params, released_bit_sums
 from .mechanisms import sign_mechanism  # noqa: F401
 from .numerics import SQRT_2PI, std_normal_cdf, std_normal_quantile
 from .quantized import sign_fisher_info
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Tuning knobs shared by the staged estimators.
-
-    n1 is the pilot group size for the two- and three-stage procedures
-    (None selects the floor(n^0.7) heuristic); n0 and bits configure the
-    three-stage bisection over [range_lo, range_hi].  sigma is the known
-    standard deviation of the data: every stage inverts its mean bit in
-    data units (``invert_mean``), so theta0 and the range are data units
-    too.  A sigma that is not finite and positive is a ValueError.
-    """
-
-    epsilon: float
-    theta0: float = 0.0
-    n1: int | None = None
-    n0: int = 15_000
-    bits: int = 7
-    range_lo: float = 0.0
-    range_hi: float = 128.0
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be > 0 and finite, got {self.sigma!r}")
+from .schema import ESTIMATOR_KINDS, EstimatorConfig
 
 
 @dataclass(frozen=True)
@@ -92,9 +67,6 @@ def invert_mean(z_bar: float, center: float, params: PrivacyParams,
     if p < 1.0:
         return center - sigma * std_normal_quantile(p)
     return center + sigma * std_normal_quantile((t + z_bar) / (2.0 * t))
-
-
-ESTIMATOR_KINDS = ("one", "two", "three")
 
 
 def layout(kind: str, n: int, config: EstimatorConfig) -> tuple[list, list]:

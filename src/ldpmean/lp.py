@@ -46,8 +46,8 @@ import numpy as np
 
 from .mechanisms import PrivacyParams
 from .quantized import build_quantized_model, row_information_many, sign_fisher_info
+from .schema import MAX_SOLVE_K
 
-MAX_SOLVE_K = 12          # simplex over the materialized 2^k columns
 _SWEEP_BLOCK = 1 << 18    # corner slacks evaluated per block of the sweep grid
 ROUND_OFF = 1e-9          # relative gap that every comparison of lp-verify forgives
 

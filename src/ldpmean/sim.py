@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .estimators import (
-    EstimatorConfig,
     layout,
     one_stage_asymptotic_variance,
     optimal_asymptotic_variance,
@@ -37,6 +36,7 @@ from .estimators import (
 # Not called here: perfbench/layertrace.py rebinds these four names of sim.
 from .estimators import one_stage, rescaled_estimate, three_stage, two_stage  # noqa: F401
 from .mechanisms import privacy_params
+from .schema import EstimatorConfig
 
 SWEEP_NAMES = ("n1", "theta0", "n")
 _BLOCK_ELEMS = 2 ** 16  # samples per replicate block, and indices per bootstrap block

@@ -24,9 +24,9 @@ from ldpmean.cli import (
     main,
     parse_kv,
 )
-from ldpmean.estimators import EstimatorConfig
 from ldpmean.mechanisms import privacy_params
 from ldpmean.quantized import MAX_LEVEL, sign_fisher_info
+from ldpmean.schema import EstimatorConfig
 from ldpmean.sim import ExperimentConfig
 
 SMALL_CFG = """\

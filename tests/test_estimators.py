@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from ldpmean.estimators import (
-    ESTIMATOR_KINDS,
-    EstimatorConfig,
     default_n1,
     estimate,
     invert_mean,
@@ -24,6 +22,7 @@ from ldpmean.estimators import (
 from ldpmean.mechanisms import privacy_params, sign_mechanism
 from ldpmean.numerics import std_normal_cdf
 from ldpmean.quantized import sign_fisher_info
+from ldpmean.schema import ESTIMATOR_KINDS, EstimatorConfig
 from oracles import embed_sign_channel, verify_ldp
 
 

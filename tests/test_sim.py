@@ -12,8 +12,6 @@ import pytest
 
 import ldpmean.sim as sim
 from ldpmean.estimators import (
-    ESTIMATOR_KINDS,
-    EstimatorConfig,
     estimate,
     one_stage,
     one_stage_asymptotic_variance,
@@ -24,6 +22,7 @@ from ldpmean.estimators import (
     two_stage,
 )
 from ldpmean.mechanisms import privacy_params
+from ldpmean.schema import ESTIMATOR_KINDS, EstimatorConfig
 from ldpmean.sim import (
     BudgetError,
     ExperimentConfig,
