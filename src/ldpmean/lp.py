@@ -56,15 +56,22 @@ ROUND_OFF = 1e-9          # relative gap that every comparison of lp-verify forg
 class StaircaseLp:
     """Staircase program in bit form: the dense S = 1 + s * bits is never built.
 
-    bits is (k, 2^k), s = e^eps - 1, and unit_j = k (y . b_j)^2 / (k + s |b_j|)
-    is column j's information mu_j over s^2 (``row_information_many`` at base 1).
+    program is the (k + 1, 2^k + 1) matrix [bits, -1; 1, s] of the equality
+    rows that ``solve_primal`` hands to the simplex, and bits, the (k, 2^k)
+    word matrix, is its read-only view.  s = e^eps - 1, and unit_j =
+    k (y . b_j)^2 / (k + s |b_j|) is column j's information mu_j over s^2
+    (``row_information_many`` at base 1).
     """
 
     k: int
-    bits: np.ndarray
+    program: np.ndarray
     s: float
     unit: np.ndarray
     mu_vec: np.ndarray
+
+    @property
+    def bits(self) -> np.ndarray:
+        return self.program[:self.k, :-1]
 
 
 @dataclass(frozen=True)
@@ -113,10 +120,22 @@ def _staircase_step(params: PrivacyParams, k: int) -> float:
     return s
 
 
-def _column_bits(js: np.ndarray, k: int) -> np.ndarray:
-    """Binary words (MSB first) of the integers ``js`` as the columns of a (k, len) array."""
-    shifts = np.arange(k - 1, -1, -1)
-    return ((js[None, :] >> shifts[:, None]) & 1).astype(float)
+def _program_matrix(k: int, s: float) -> np.ndarray:
+    """The bit form's equality rows [bits, -1; 1, s], shape (k + 1, 2^k + 1).
+
+    Row i of bits is bit k - 1 - i of the column indices 0 .. 2^k - 1 (the
+    words MSB first): in blocks of 2^(k-i) columns, the second half of each
+    block is ones, written by one slice assignment per row.
+    """
+    n = 1 << k
+    program = np.zeros((k + 1, n + 1))
+    for i in range(k):
+        block = n >> i
+        program[i, :n].reshape(-1, block)[:, block >> 1:] = 1.0
+    program[:k, n] = -1.0
+    program[k, :n] = 1.0
+    program[k, n] = s
+    return program
 
 
 def _agree(a: float, b: float) -> bool:
@@ -131,34 +150,35 @@ def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
         raise ValueError(f"k must satisfy 2 <= k <= {MAX_SOLVE_K}, got {k!r}")
     model = build_quantized_model(k)
     s = _staircase_step(params, k)
-    bits = _column_bits(np.arange(1 << k, dtype=np.int64), k)
-    unit = row_information_many(bits, 1.0, s, model)
+    program = _program_matrix(k, s)
+    unit = row_information_many(program[:k, :-1], 1.0, s, model)
     mu_vec = (s * s) * unit
-    for array in (bits, unit, mu_vec):
+    for array in (program, unit, mu_vec):
         array.setflags(write=False)
-    return StaircaseLp(k, bits, s, unit, mu_vec)
+    return StaircaseLp(k, program, s, unit, mu_vec)
 
 
 def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
-                 tol: float = 1e-9, max_iter: int = 100_000):
+                 inverse: np.ndarray, tol: float = 1e-9, max_iter: int = 100_000):
     """Maximize c @ x subject to A x = b, x >= 0, from a feasible ``basis``.
 
     Revised simplex: it keeps only [x_B | B^-1] (m by m + 1), starting
-    from B^-1 = inv(A[:, basis]), and prices with y = c_B B^-1 as c - y A.
-    The entering column is the one with the largest reduced cost
-    (Dantzig's rule), if that cost exceeds ``tol`` times the largest
-    |c|: an absolute threshold would stop at the first vertex for tiny
-    objectives.  Ties in the min-ratio test on B^-1 a_e are broken
-    lexicographically: among the tied rows the leaving one has the
-    smallest row of B^-1 divided by its pivot entry.  That rule keeps
-    every row of [x_B | B^-1] lexicographically positive, which the
-    caller's basis must make true at the start, so no basis repeats: the
-    heavily degenerate staircase programs cannot cycle.  Returns (x,
+    from the caller's ``inverse`` = inv(A[:, basis]), and prices with
+    y = c_B B^-1 as c - y A.  The entering column is the one with the
+    largest reduced cost (Dantzig's rule), if that cost exceeds ``tol``
+    times the largest |c|: an absolute threshold would stop at the first
+    vertex for tiny objectives.  Ties in the min-ratio test on B^-1 a_e
+    are broken lexicographically: among the tied rows the leaving one has
+    the smallest row of B^-1 divided by its pivot entry, the first such
+    row on equal rows.  That rule keeps every row of [x_B | B^-1]
+    lexicographically positive, which the caller's basis must make true
+    at the start, so no basis repeats: the heavily degenerate staircase
+    programs cannot cycle.  The ratio test runs on Python floats, as its
+    m rows are too few to repay numpy's per-call cost.  Returns (x,
     value, pivots).
     """
     m, n = A.shape
     basis = np.array(basis)
-    inverse = np.linalg.inv(A[:, basis])
     table = np.hstack([np.reshape(inverse @ b, (m, 1)), inverse])  # [x_B | B^-1]
     x_basic, inverse = table[:, 0], table[:, 1:]
     cost_tol = tol * float(np.abs(c).max())
@@ -171,14 +191,14 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
             x[basis] = np.maximum(x_basic, 0.0)  # scrub -1e-17 style pivot noise
             return x, float(c @ x), pivots
         col = inverse @ A[:, entering]
-        rows = np.where(col > tol)[0]
-        if rows.size == 0:
+        pivot_col, x_list = col.tolist(), x_basic.tolist()
+        ratios = {i: x_list[i] / a for i, a in enumerate(pivot_col) if a > tol}
+        if not ratios:
             raise RuntimeError("unbounded program (cannot happen: feasible set is bounded)")
-        ratios = x_basic[rows] / col[rows]
-        best = ratios.min()
-        cand = rows[ratios <= best + tol * (1.0 + abs(best))]
-        lex = inverse[cand] / col[cand, None]
-        row = cand[np.lexsort(lex.T[::-1])[0]]
+        cutoff = min(ratios.values())
+        cutoff += tol * (1.0 + abs(cutoff))
+        row = min((i for i, ratio in ratios.items() if ratio <= cutoff),
+                  key=lambda i: [v / pivot_col[i] for v in inverse[i].tolist()])
         table[row] /= col[row]
         col[row] = 0.0
         table -= col[:, None] * table[row]
@@ -191,24 +211,30 @@ def _prefix_basis(k: int) -> list[int]:
     return [((1 << j) - 1) << (k - j) for j in range(k + 1)]
 
 
+def _prefix_inverse(k: int) -> np.ndarray:
+    """B^-1 of the prefix basis: rows e_k - e_0, e_(j-1) - e_j (j = 1..k-1) and e_(k-1)."""
+    inverse = np.eye(k + 1, k=-1) - np.eye(k + 1)
+    inverse[0, k] = 1.0
+    inverse[k, k] = 0.0
+    return inverse
+
+
 def solve_primal(lp: StaircaseLp) -> PrimalSolution:
     """Solve the staircase program exactly with the revised simplex.
 
     It runs on the bit form: with c = (1 - 1 . alpha) / s >= 0, the k rows
-    S alpha = 1 are bits alpha - c 1 = 0 and 1 . alpha + s c = 1, and the
-    objective is unit . alpha = mu . alpha / s^2.  The simplex starts at
-    the channel that ignores its input, alpha = e_0, with the k + 1 prefix
-    words as its basis: c is not among them, so B^-1 does not depend on
-    eps, its rows are e_k - e_0, e_(j-1) - e_j (j = 1..k-1) and e_(k-1),
-    and every row of [x_B | B^-1] = [e_0 | B^-1] is lexicographically
-    positive.  At the vertex it returns, c is basic unless alpha sits on
-    column 0 alone, so at most k weights are nonzero.
+    S alpha = 1 are bits alpha - c 1 = 0 and 1 . alpha + s c = 1 (the rows
+    of ``lp.program``), and the objective is unit . alpha = mu . alpha /
+    s^2.  The simplex starts at the channel that ignores its input, alpha =
+    e_0, with the k + 1 prefix words as its basis: c is not among them, so
+    B^-1 does not depend on eps (``_prefix_inverse``), and every row of
+    [x_B | B^-1] = [e_0 | B^-1] is lexicographically positive.  At the
+    vertex it returns, c is basic unless alpha sits on column 0 alone, so
+    at most k weights are nonzero.
     """
     k, n = lp.bits.shape
-    A = np.empty((k + 1, n + 1))
-    A[:k, :n], A[:k, n], A[k, :n], A[k, n] = lp.bits, -1.0, 1.0, lp.s
-    x, _, pivots = _simplex_max(A, np.eye(k + 1)[k], np.append(lp.unit, 0.0),
-                                _prefix_basis(k))
+    x, _, pivots = _simplex_max(lp.program, np.eye(k + 1)[k], np.append(lp.unit, 0.0),
+                                _prefix_basis(k), _prefix_inverse(k))
     return PrimalSolution(alpha=x[:n], value=float(lp.mu_vec @ x[:n]), pivots=pivots)
 
 

@@ -12,6 +12,10 @@ No command runs these, so they live beside the tests rather than in
 * ``staircase_matrix`` and ``mechanism_from_solution``: the dense staircase
   matrix S = 1 + s * bits of a bit-form program, and the channel a primal
   solution encodes.
+* ``simplex_max`` and ``column_bits``: the all-numpy revised simplex
+  (min-ratio test and lexicographic tie-break by ``np.lexsort``, starting
+  basis inverted by ``np.linalg.inv``) and the shift-and-mask word matrix,
+  the slow references for ``lp._simplex_max`` and ``lp._program_matrix``.
 * ``certificate_margin`` with its ``_upper`` and ``_lower`` boundary forms,
   and ``interior_stationarity``: the closed-form margins whose grid
   nonnegativity proves the dual certificate feasible for eps <= 1.048.
@@ -128,6 +132,51 @@ def mechanism_from_solution(solution: PrimalSolution, lp: StaircaseLp,
     """
     support = np.where(solution.alpha > weight_tol)[0]
     return (staircase_matrix(lp)[:, support] * solution.alpha[support]).T
+
+
+def simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
+                tol: float = 1e-9, max_iter: int = 100_000):
+    """Maximize c @ x subject to A x = b, x >= 0, from a feasible ``basis``.
+
+    The same pivoting rules as ``lp._simplex_max`` (Dantzig's entering
+    column above ``tol`` times the largest |c|, the min-ratio test with
+    lexicographic ties), each step a numpy call.  Returns (x, value,
+    pivots).
+    """
+    m, n = A.shape
+    basis = np.array(basis)
+    inverse = np.linalg.inv(A[:, basis])
+    table = np.hstack([np.reshape(inverse @ b, (m, 1)), inverse])  # [x_B | B^-1]
+    x_basic, inverse = table[:, 0], table[:, 1:]
+    cost_tol = tol * float(np.abs(c).max())
+    for pivots in range(max_iter):
+        reduced = c - (c[basis] @ inverse) @ A
+        reduced[basis] = 0.0
+        entering = int(np.argmax(reduced))
+        if not reduced[entering] > cost_tol:
+            x = np.zeros(n)
+            x[basis] = np.maximum(x_basic, 0.0)
+            return x, float(c @ x), pivots
+        col = inverse @ A[:, entering]
+        rows = np.where(col > tol)[0]
+        if rows.size == 0:
+            raise RuntimeError("unbounded program")
+        ratios = x_basic[rows] / col[rows]
+        best = ratios.min()
+        cand = rows[ratios <= best + tol * (1.0 + abs(best))]
+        lex = inverse[cand] / col[cand, None]
+        row = cand[np.lexsort(lex.T[::-1])[0]]
+        table[row] /= col[row]
+        col[row] = 0.0
+        table -= col[:, None] * table[row]
+        basis[row] = entering
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
+def column_bits(js: np.ndarray, k: int) -> np.ndarray:
+    """Binary words (MSB first) of the integers ``js`` as the columns of a (k, len) array."""
+    shifts = np.arange(k - 1, -1, -1)
+    return ((js[None, :] >> shifts[:, None]) & 1).astype(float)
 
 
 def certificate_margin(a1, a2, x, y, t):

@@ -211,10 +211,10 @@ class TestLpVerify:
 
     @pytest.mark.parametrize("k", ["14", "16", "20"])
     def test_oversized_level_rejected_before_building(self, capsys, monkeypatch, k):
-        def no_columns(js, k):
+        def no_columns(k, s):
             raise AssertionError("staircase columns built for an oversized level")
 
-        monkeypatch.setattr("ldpmean.lp._column_bits", no_columns)
+        monkeypatch.setattr("ldpmean.lp._program_matrix", no_columns)
         code, out, err = run_cli(capsys, "lp-verify", "--k", k, "--epsilon", "1")
         assert_one_line_usage_error(code, err)
         assert out == ""

@@ -23,11 +23,13 @@ from oracles import (
     certificate_margin,
     certificate_margin_lower,
     certificate_margin_upper,
+    column_bits,
     dense_row_information,
     embed_sign_channel,
     fisher_info_quantized,
     interior_stationarity,
     mechanism_from_solution,
+    simplex_max,
     staircase_matrix,
     verify_ldp,
 )
@@ -122,10 +124,26 @@ class TestBuildStaircase:
         assert not staircase_matrix(lp).flags.writeable
         assert np.array_equal(lp.mu_vec, lp.s * lp.s * lp.unit)
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1.0, 353.0])
+    def test_program_holds_the_equality_rows(self, eps):
+        # [bits, -1; 1, s], filled once and read-only; bits is its view, not a copy
+        lp = build_staircase_lp(6, privacy_params(eps))
+        k, n = lp.bits.shape
+        expected = np.block([[column_bits(np.arange(n), k), -np.ones((k, 1))],
+                             [np.ones((1, n)), np.array([[lp.s]])]])
+        assert np.array_equal(lp.program, expected)
+        assert not lp.program.flags.writeable and not lp.bits.flags.writeable
+        assert np.shares_memory(lp.bits, lp.program)
+
+    @pytest.mark.parametrize("k", range(2, 17, 2))
+    def test_word_matrix_matches_the_shift_form(self, k):
+        program = lp_module._program_matrix(k, 0.5)
+        assert np.array_equal(program[:k, :-1], column_bits(np.arange(1 << k), k))
+
     def test_chain_never_builds_the_dense_matrix(self):
         # the program holds the bit form only; S exists only as the tests' staircase_matrix
         fields = [field.name for field in dataclasses.fields(StaircaseLp)]
-        assert fields == ["k", "bits", "s", "unit", "mu_vec"]
+        assert fields == ["k", "program", "s", "unit", "mu_vec"]
         assert not hasattr(build_staircase_lp(12, privacy_params(1.0)), "S")
         assert equality_chain(12, privacy_params(1.0))["chain_holds"]
 
@@ -204,6 +222,9 @@ class TestSolvePrimal:
         B = A[:, basis]
         assert np.linalg.matrix_rank(B) == k + 1
         inverse = np.linalg.inv(B)
+        closed_form = lp_module._prefix_inverse(k)
+        assert np.array_equal(closed_form, inverse)
+        assert np.array_equal(np.signbit(closed_form), np.signbit(inverse))
         assert set(np.unique(inverse)) <= {-1.0, 0.0, 1.0}
         assert np.array_equal(inverse @ B, np.eye(k + 1))
         x_basic = inverse @ np.eye(k + 1)[k]
@@ -229,9 +250,10 @@ class TestSolvePrimal:
         A = np.vstack([np.hstack([lp.bits, -np.ones((k, 1))]), np.append(np.ones(n), lp.s)])
         rhs = np.append(np.zeros(k), 1.0)
         costs = np.append(lp.unit, 0.0)
+        basis = lp_module._prefix_basis(k)
         tracemalloc.start()
         try:
-            _, value, _ = lp_module._simplex_max(A, rhs, costs, lp_module._prefix_basis(k))
+            _, value, _ = lp_module._simplex_max(A, rhs, costs, basis, np.linalg.inv(A[:, basis]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -270,11 +292,47 @@ class TestAntiCycling:
         # From the slack basis, in either row order, a min-ratio tie broken
         # by the lowest basic index cycles through six bases forever; the
         # lexicographic rule leaves the cycle.
-        x, value, pivots = lp_module._simplex_max(BEALE_A[rows], BEALE_B[rows], BEALE_C,
-                                                  rows, max_iter=1000)
+        x, value, pivots = lp_module._simplex_max(BEALE_A[rows], BEALE_B[rows], BEALE_C, rows,
+                                                  np.linalg.inv(BEALE_A[rows][:, rows]),
+                                                  max_iter=1000)
         assert value == pytest.approx(1.25, abs=1e-12)
         assert np.allclose(x, [0.75, 0, 0, 1, 0, 1, 0], atol=1e-12)
         assert pivots <= 10
+
+
+ORACLE_BUDGETS = [0.0, 5e-324, 1e-12, 1e-8, 0.5, 1.0, 1.9, 3.0, 8.8, 17.0, 353.5]
+
+
+class TestSimplexOracle:
+    """The scalar ratio test pivots exactly as the all-numpy reference does."""
+
+    @pytest.mark.parametrize("k", range(2, 13, 2))
+    @pytest.mark.parametrize("eps", ORACLE_BUDGETS)
+    def test_same_vertex_value_and_pivots(self, k, eps):
+        lp = build_staircase_lp(k, privacy_params(eps))
+        n = 1 << k
+        A = np.empty((k + 1, n + 1))
+        A[:k, :n], A[:k, n], A[k, :n], A[k, n] = column_bits(np.arange(n), k), -1.0, 1.0, lp.s
+        rhs, costs, basis = np.eye(k + 1)[k], np.append(lp.unit, 0.0), lp_module._prefix_basis(k)
+        x_ref, value_ref, pivots_ref = simplex_max(A, rhs, costs, basis)
+        x, value, pivots = lp_module._simplex_max(A, rhs, costs, basis, np.linalg.inv(A[:, basis]))
+        assert np.array_equal(x, x_ref)
+        assert value == value_ref
+        assert pivots == pivots_ref
+        solution = solve_primal(lp)
+        assert np.array_equal(solution.alpha, x_ref[:n])
+        assert solution.value == float(lp.mu_vec @ x_ref[:n])
+        assert solution.pivots == pivots_ref
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2], [1, 0, 2]])
+    def test_same_path_on_beale(self, rows):
+        args = (BEALE_A[rows], BEALE_B[rows], BEALE_C, rows)
+        x_ref, value_ref, pivots_ref = simplex_max(*args, max_iter=1000)
+        x, value, pivots = lp_module._simplex_max(*args, np.linalg.inv(BEALE_A[rows][:, rows]),
+                                                  max_iter=1000)
+        assert np.array_equal(x, x_ref)
+        assert value == value_ref
+        assert pivots == pivots_ref
 
 
 class TestSignCandidate:

@@ -45,11 +45,14 @@ print(json.dumps({"after_lp": after_lp, "not_submodules": not_submodules,
 # Reference forms that only the tests use live in tests/oracles.py, among them the
 # probability form of the row information that quantized.row_information_many computes
 # in bit form; two duplicates are gone (rr_matrix is embed_sign_channel(params, 2),
-# row_information is one column of the dense form).  No ldpmean module may define any of them.
+# row_information is one column of the dense form).  The all-numpy simplex and the
+# shift-form word matrix are the references for lp's; lp._column_bits is gone.  No ldpmean
+# module may define any of them.
 ORACLES = ["verify_ldp", "staircase_matrix", "mechanism_from_solution", "certificate_margin",
            "certificate_margin_upper", "certificate_margin_lower", "interior_stationarity",
-           "dense_row_information", "fisher_info_quantized", "embed_sign_channel"]
-DELETED = ["rr_matrix", "row_information"]
+           "dense_row_information", "fisher_info_quantized", "embed_sign_channel",
+           "simplex_max", "column_bits"]
+DELETED = ["rr_matrix", "row_information", "_column_bits"]
 
 
 def _probe():
