@@ -72,14 +72,15 @@ def invert_mean(z_bar: float, center: float, params: PrivacyParams,
 def layout(kind: str, n: int, config: EstimatorConfig) -> tuple[list, list]:
     """The plan of ``kind`` on n samples: ``(rounds, stages)``, its bit groups in order.
 
-    Each group is a pair of slices, its samples' columns of x and its uniforms'
-    columns of u, and enters the estimate only through its count of released
-    +1 bits.  ``rounds`` holds the bisection, empty but for ``three``: ``bits``
-    rounds of floor(n0 / bits) fresh samples each, round b releasing sign bits
-    at the current interval midpoint and recursing toward the half the count
-    points at (ties go up, matching sgn(0) := 1).  The n0 - bits * floor(n0 /
-    bits) leftover samples are never queried and draw no uniforms, so from
-    there on the x columns run that many ahead of the u columns.
+    Each group is a pair of slices, its samples' columns of x and the columns
+    of ``keep`` that hold its keep bits (one randomized-response uniform each,
+    drawn in column order), and enters the estimate only through its count of
+    released +1 bits.  ``rounds`` holds the bisection, empty but for ``three``:
+    ``bits`` rounds of floor(n0 / bits) fresh samples each, round b releasing
+    sign bits at the current interval midpoint and recursing toward the half the
+    count points at (ties go up, matching sgn(0) := 1).  The n0 - bits *
+    floor(n0 / bits) leftover samples are never queried and draw no uniforms, so
+    from there on the x columns run that many ahead of the keep columns.
     The final midpoint, whose resolution is (range width) / 2^bits, is the
     first center of ``stages``: the whole sample for ``one``, else a pilot of
     n1 samples and the rest of the sample, centered at the pilot's estimate.
@@ -116,9 +117,11 @@ def layout(kind: str, n: int, config: EstimatorConfig) -> tuple[list, list]:
                     (slice(n0 + n1, n), slice(bisected + n1, bisected + n - n0))]
 
 
-def stage_rows(kind: str, x: np.ndarray, u: np.ndarray, config: EstimatorConfig):
-    """Run ``kind`` on each row of ``x`` (one dataset) and ``u``, at least the uniforms it reads.
+def stage_rows(kind: str, x: np.ndarray, keep: np.ndarray, config: EstimatorConfig):
+    """Run ``kind`` on each row of ``x`` (one dataset) with that row's keep bits.
 
+    Row i of ``keep`` holds the keep tests u < p_eps of the row's uniforms u, at
+    least the ``released_bits`` its plan reads (wider rows are read no further).
     Walks the plan: each group is counted (``released_bit_sums``) at the
     rows' centers, and the counts alone move the centers.  A round goes up
     where its count is >= 0; a stage of m samples inverts count / m, the
@@ -131,18 +134,18 @@ def stage_rows(kind: str, x: np.ndarray, u: np.ndarray, config: EstimatorConfig)
     estimates, clamped = [], []
     if rounds:
         lo, hi = (np.full(len(x), end, dtype=float) for end in (config.range_lo, config.range_hi))
-        for xs, us in rounds:
+        for xs, ks in rounds:
             mid = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 would overflow near the largest double
-            up = np.array(released_bit_sums(x[:, xs], u[:, us], mid, params.p_eps)) >= 0
+            up = np.array(released_bit_sums(x[:, xs], keep[:, ks], mid)) >= 0
             lo = np.where(up, mid, lo)
             hi = np.where(up, hi, mid)
         centers = (lo / 2.0 + hi / 2.0).tolist()
         estimates.append(centers)
         clamped.append([False] * len(x))
-    for xs, us in stages:
+    for xs, ks in stages:
         # count / m is the mean of the materialized +/-1 bits: exact integers summed, one division
         z_bars = [count / (xs.stop - xs.start)
-                  for count in released_bit_sums(x[:, xs], u[:, us], centers, params.p_eps)]
+                  for count in released_bit_sums(x[:, xs], keep[:, ks], centers)]
         centers = [invert_mean(z, c, params, config.sigma) for z, c in zip(z_bars, centers)]
         estimates.append(centers)
         clamped.append([not abs(z) < params.t_eps for z in z_bars])
@@ -150,7 +153,11 @@ def stage_rows(kind: str, x: np.ndarray, u: np.ndarray, config: EstimatorConfig)
 
 
 def released_bits(kind: str, n: int, config: EstimatorConfig) -> int:
-    """Uniforms the ``kind`` estimator draws on n samples: the end of its plan's last u slice."""
+    """Uniforms the ``kind`` estimator draws on n samples, one keep bit each.
+
+    The end of its plan's last keep slice: the width of the ``keep`` rows that
+    ``stage_rows`` reads.
+    """
     _, stages = layout(kind, n, config)
     return stages[-1][1].stop
 
@@ -159,8 +166,9 @@ def estimate(kind: str, data, config: EstimatorConfig,
              rng: np.random.Generator) -> EstimateResult:
     """Run the ``kind`` estimator on ``data`` as one row; nothing is drawn before its checks."""
     x = np.asarray(data, dtype=float).reshape(1, -1)
-    u = rng.random((1, released_bits(kind, x.shape[1], config)))
-    estimates, clamped = ([stage[0] for stage in part] for part in stage_rows(kind, x, u, config))
+    m, p_eps = released_bits(kind, x.shape[1], config), privacy_params(config.epsilon).p_eps
+    keep = rng.random((1, m)) < p_eps
+    estimates, clamped = ([stage[0] for stage in part] for part in stage_rows(kind, x, keep, config))
     return EstimateResult(estimates[-1], tuple(estimates), tuple(clamped))
 
 

@@ -82,15 +82,16 @@ def sign_mechanism(x, center: float, params: PrivacyParams,
     return randomized_response(signs, params, rng)
 
 
-def released_bit_sums(x: np.ndarray, u: np.ndarray, centers, p_eps: float) -> list[int]:
-    """Sum of each row's bits ``sign_mechanism`` would release, given its uniforms.
+def released_bit_sums(x: np.ndarray, keep: np.ndarray, centers) -> list[int]:
+    """Sum of each row's bits ``sign_mechanism`` would release, given its keep bits.
 
-    Row i of ``x`` is tested against ``centers[i]``, with the uniforms ``u[i]``
-    the mechanism would draw.  A released bit is +1 exactly when the sign test
-    (x >= center) agrees with the keep test (u < p_eps), so a row of m samples
-    sums to 2 * (agreements) - m without materializing the bits.  Rows are counted
-    one by one: ``count_nonzero`` along an axis falls back to a much slower bool sum.
+    Row i of ``x`` is tested against ``centers[i]``; ``keep[i]`` holds the keep
+    tests u < p_eps of the uniforms u the mechanism would draw.  A released bit
+    is +1 exactly when the sign test (x >= center) agrees with the keep test, so
+    a row of m samples sums to 2 * (agreements) - m without materializing the bits.
+    Rows are counted one by one: ``count_nonzero`` along an axis falls back to a
+    much slower bool sum.
     """
     agree = x >= np.asarray(centers, dtype=float)[:, None]
-    np.equal(agree, u < p_eps, out=agree)
+    np.equal(agree, keep, out=agree)
     return [2 * int(np.count_nonzero(row)) - row.size for row in agree]

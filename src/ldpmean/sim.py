@@ -10,7 +10,9 @@ SeedSequence(master_seed, spawn_key=(s, 0, r)) and the bootstrap of
 sweep point s from spawn_key=(s, 1), so results are bit-identical
 regardless of how replicates are scheduled across worker processes.  A
 span of replicates starts from numpy's SeedSequence pool for spawn_key
-(s, 0), hashes only r itself and re-seeds one generator in place.  One
+(s, 0), hashes only r itself and re-seeds one generator in place.  A
+replicate's stream is its n normals, then the uniforms its estimator
+reads; each uniform is kept only as its randomized-response keep bit.  One
 stage loop, ``estimators.stage_rows``, runs a block of replicates of any
 kind at once, each on its own stream; ``estimators.layout`` checks the
 kind and its layout at every sweep point before any work.
@@ -31,6 +33,7 @@ from .estimators import (
     layout,
     one_stage_asymptotic_variance,
     optimal_asymptotic_variance,
+    released_bits,
     stage_rows,
 )
 # Not called here: perfbench/layertrace.py rebinds these four names of sim.
@@ -40,6 +43,7 @@ from .schema import EstimatorConfig
 
 SWEEP_NAMES = ("n1", "theta0", "n")
 _BLOCK_ELEMS = 2 ** 16  # samples per replicate block, and indices per bootstrap block
+_PIECE = 2 ** 14  # uniforms a replicate draws at a time before their keep tests
 _STAGE_REACH = 77.0  # sigmas two stages can move an estimate from its first center
 
 # numpy's SeedSequence hash and PCG64 seeding, for _replicate_states
@@ -257,26 +261,42 @@ def _run_block(config: ExperimentConfig, sweep_index: int,
                r_lo: int, r_hi: int):
     """Run replicates [r_lo, r_hi) of one sweep point; returns errors and clamp flags.
 
-    One generator, re-seeded in place, draws each replicate's n normals and
-    then n uniforms (at least those its estimator consumes, and nothing
-    follows) into one row; a block of rows runs through ``stage_rows``.
+    One generator, re-seeded in place, draws each replicate's n normals into a
+    row of ``x``, then the m = ``released_bits`` uniforms its estimator reads,
+    of which a row of ``keep`` stores only the keep tests u < p_eps.  The
+    uniforms pass through a float scratch of at most ``_PIECE`` per row: a
+    longer row tests each full piece as it is drawn, and the rows' last pieces
+    (whole rows when m <= ``_PIECE``) are tested with one ``np.less`` per
+    block.  A block of rows runs through ``stage_rows``.
     """
     n, theta_n, est_cfg = _point_setup(config, config.sweep_values[sweep_index])
-    reps, rows = r_hi - r_lo, max(1, _BLOCK_ELEMS // n)
+    m, p_eps = released_bits(config.kind, n, est_cfg), privacy_params(config.epsilon).p_eps
+    full = (m - 1) // _PIECE * _PIECE  # tested piece by piece; 1 to _PIECE uniforms remain
+    pieces = range(0, full, _PIECE)
+    reps = r_hi - r_lo
+    rows = max(1, min(reps, _BLOCK_ELEMS // n))  # no more rows than the span has replicates
     errors = np.empty(reps)
     clamps = np.empty(reps, dtype=bool)
-    block = np.empty((2, rows, n))  # normals and uniforms, a replicate per row
+    x = np.empty((rows, n))  # a replicate per row
+    keep = np.empty((rows, m), dtype=bool)
+    scratch = np.empty((rows, min(m, _PIECE)))
+    # each row's float scratch, the part of it the row's last piece fills, its keep bits
+    row_bufs = list(zip(scratch, scratch[:, :m - full], keep))
     bitgen = np.random.PCG64(0)
     rng = np.random.default_rng(bitgen)
     states = _replicate_states(config.master_seed, sweep_index, r_lo, r_hi)
     for lo in range(0, reps, rows):
-        x, u = block[:, :reps - lo]  # the last block may hold fewer rows
-        for x_row, u_row, state in zip(x, u, states):  # states last: zip stops at the rows
+        k = min(rows, reps - lo)  # the last block may hold fewer rows
+        # states last: zip stops at the rows without taking the next block's state
+        for x_row, (u_row, last, keep_row), state in zip(x[:k], row_bufs, states):
             bitgen.state = state
             rng.standard_normal(out=x_row)
-            rng.random(out=u_row)
-        _to_data_units(x, theta_n, config.sigma)
-        estimates, clamped = stage_rows(config.kind, x, u, est_cfg)
+            for a in pieces:
+                np.less(rng.random(out=u_row), p_eps, out=keep_row[a:a + _PIECE])
+            rng.random(out=last)
+        np.less(scratch[:k, :m - full], p_eps, out=keep[:k, full:])
+        _to_data_units(x[:k], theta_n, config.sigma)
+        estimates, clamped = stage_rows(config.kind, x[:k], keep[:k], est_cfg)
         errors[lo:lo + rows] = np.subtract(estimates[-1], theta_n)
         clamps[lo:lo + rows] = np.any(clamped, axis=0)
     return r_lo, errors, clamps

@@ -412,7 +412,7 @@ class TestStageRows:
     def test_stage_rows(self, kind):
         cfg, n, reference = self.CASES[kind]
         x, u = self.rows(n)
-        estimates, clamped = stage_rows(kind, x, u, cfg)
+        estimates, clamped = stage_rows(kind, x, u < privacy_params(cfg.epsilon).p_eps, cfg)
         for i, row in enumerate(x):
             got = (estimates[-1][i], tuple(e[i] for e in estimates), tuple(c[i] for c in clamped))
             assert got == reference(row, cfg, np.random.default_rng(90 + i)), i
@@ -423,7 +423,7 @@ class TestStageRows:
     def test_unknown_kind(self):
         x, u = self.rows(40)
         with pytest.raises(ValueError, match="kind must be one of"):
-            stage_rows("four", x, u, EstimatorConfig(epsilon=1.0))
+            stage_rows("four", x, u < 0.5, EstimatorConfig(epsilon=1.0))
 
 
 def width(cols):

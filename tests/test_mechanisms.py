@@ -161,7 +161,7 @@ class TestReleasedBitSum:
         x = np.random.default_rng(100 + seed).standard_normal(m)
         x[::3] = 0.25  # exact ties with the center
         u = np.random.default_rng(seed).random((1, m))
-        (total,) = released_bit_sums(x[None], u, [0.25], params.p_eps)
+        (total,) = released_bit_sums(x[None], u < params.p_eps, [0.25])
         assert type(total) is int
         assert total == int(sign_mechanism(x, 0.25, params, np.random.default_rng(seed)).sum())
 
@@ -170,27 +170,28 @@ class TestReleasedBitSum:
         center = 1.5
         x = np.stack([np.full(m, center), np.full(m, center - 1.0)])
         u = np.random.default_rng(4).random((2, m))
-        assert released_bit_sums(x, u, [center, center], privacy_params(math.inf).p_eps) == [m, -m]
+        assert released_bit_sums(x, u < privacy_params(math.inf).p_eps, [center, center]) == [m, -m]
 
     def test_scalar_input(self):
         # a one-sample row counts like the scalar mechanism
         params = privacy_params(1.0)
         for seed in range(20):
             u = np.random.default_rng(seed).random((1, 1))
-            assert released_bit_sums(np.zeros((1, 1)), u, [0.0], params.p_eps) == [
+            assert released_bit_sums(np.zeros((1, 1)), u < params.p_eps, [0.0]) == [
                 sign_mechanism(0.0, 0.0, params, np.random.default_rng(seed))]
 
     def test_each_row_at_its_own_center(self):
         params = privacy_params(0.7)
         gen = np.random.default_rng(9)
         x, u = gen.standard_normal((6, 301)), gen.random((6, 301))
+        keep = u < params.p_eps
         centers = [-1.0, 0.0, 0.3, 2.0, -0.2, 9.0]
-        expected = [released_bit_sums(x[i:i + 1], u[i:i + 1], centers[i:i + 1], params.p_eps)[0]
+        expected = [released_bit_sums(x[i:i + 1], keep[i:i + 1], centers[i:i + 1])[0]
                     for i in range(6)]
-        assert released_bit_sums(x, u, centers, params.p_eps) == expected
-        assert released_bit_sums(x[:, 100:], u[:, 100:], np.array(centers), params.p_eps) == [
-            released_bit_sums(x[i:i + 1, 100:], u[i:i + 1, 100:], centers[i:i + 1],
-                              params.p_eps)[0] for i in range(6)]
+        assert released_bit_sums(x, keep, centers) == expected
+        assert released_bit_sums(x[:, 100:], keep[:, 100:], np.array(centers)) == [
+            released_bit_sums(x[i:i + 1, 100:], keep[i:i + 1, 100:], centers[i:i + 1])[0]
+            for i in range(6)]
 
 
 class TestRrMatrix:

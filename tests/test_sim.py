@@ -389,6 +389,9 @@ BLOCK_CASES = [
                  id="two-one-row-scaled"),
     pytest.param("three", _ONE, (0, 2), dict(n0=15_000, range_hi=128.0, theta_true=84.3),
                  "any", id="three-one-row"),
+    # n0 mod bits = 3 unqueried samples: m = 2**14 + 7 keep bits cross a piece boundary
+    pytest.param("three", 2 ** 14 + 10, (1, 6), dict(_THREE, n0=303, n1=50, theta_true=-2.5),
+                 "any", id="three-three-rows-piece-boundary"),
     pytest.param("one", _MANY, (0, 80), dict(theta_true=3.0), "some", id="one-clamps-often"),
     pytest.param("two", _MANY, (0, 80), dict(n1=3), "some", id="two-clamps-often"),
     pytest.param("three", _MANY, (0, 80), dict(_THREE, n1=3, theta_true=2.5), "some",
@@ -484,6 +487,50 @@ class TestReplicateStates:
         finally:
             tracemalloc.stop()
         assert peak < 4 * max(n, 2 ** 16) * 8
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_long_row_keeps_one_byte_per_uniform(self, kind):
+        # x (8 n bytes), the keep bits (n), one sign test (at most n) and one float piece
+        # of 2**14 uniforms; a row that also held its n uniforms as floats takes 18 n
+        n = 2 ** 17
+        config = small_config(kind=kind, n=n, n0=700, range_hi=8.0, replicates=2)
+        tracemalloc.start()
+        try:
+            _run_block(config, 0, 0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * n + 2 ** 14 * 8
+
+    @pytest.mark.parametrize("m", [1, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 3 * 2 ** 14 + 5])
+    @pytest.mark.parametrize("eps", [0.0, 1.0, math.inf])
+    def test_piecewise_keep_bits_match_one_draw(self, monkeypatch, m, eps):
+        # the one-stage kind reads m = n uniforms; two replicates share a block when m is short
+        config = small_config(kind="one", n=m, epsilon=eps, replicates=2)
+        p_eps = privacy_params(eps).p_eps
+        expected = []
+        for r in (3, 4):
+            reference = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(0, 0, r)))
+            reference.standard_normal(m)
+            expected.append(reference.random(m) < p_eps)
+        kept, generators = [], []
+        default_rng, stage_rows = np.random.default_rng, sim.stage_rows
+
+        def recording_rng(*args):
+            generators.append(default_rng(*args))
+            return generators[-1]
+
+        def recording_stage_rows(kind, x, keep, cfg):
+            kept.extend(keep.copy())
+            return stage_rows(kind, x, keep, cfg)
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        monkeypatch.setattr(sim, "stage_rows", recording_stage_rows)
+        _run_block(config, 0, 3, 5)
+        assert len(kept) == 2 and all(row.dtype == bool for row in kept)
+        assert all(np.array_equal(got, want) for got, want in zip(kept, expected))
+        (rng,) = generators
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestDeterminism:
