@@ -8,7 +8,7 @@ truth)^2) with a percentile-bootstrap confidence interval.
 Replicate r of sweep point s derives its random stream from
 SeedSequence(master_seed, spawn_key=(s, 0, r)) and the bootstrap of
 sweep point s from spawn_key=(s, 1), so results are bit-identical
-regardless of how replicates are scheduled across worker processes.  A
+however replicate spans and bootstraps are scheduled across workers.  A
 span of replicates starts from numpy's SeedSequence pool for spawn_key
 (s, 0), hashes only r itself and re-seeds one generator in place.  A
 replicate's stream is its n normals, then the uniforms its estimator
@@ -26,6 +26,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -365,59 +366,64 @@ def _pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
+def _bootstrap(master_seed: int, s: int, sq: np.ndarray) -> tuple[float, float]:
+    """Bootstrap interval of point s's squared errors, seeded by spawn_key (s, 1)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(s, 1)))
+    return bootstrap_ci(sq, level=0.95, resamples=1000, rng=rng)
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MseResult]:
     """Run the full sweep; the result is independent of ``workers``.
 
-    Each point's replicates are cut into spans, pre-assigned by index, so
-    any partition across processes reduces to the same output.  One pool
-    serves the whole run: every span of every point is submitted up
-    front, and this process reduces and bootstraps point s while the
-    workers run later points.  The pool has at most one worker per CPU;
-    with one worker the same spans run inline.
+    Replicates are cut into spans by index, so any partition across
+    processes reduces to the same output.  Every span is submitted up
+    front, each point's bootstrap once its spans are in; this process only
+    merges spans and builds rows.  A task is a zero-argument call: a pool
+    future's ``result``, or inline the work itself.  The pool has at most one
+    worker per usable CPU.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _validate(config)
-    workers = min(workers, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
     params = privacy_params(config.epsilon)
     reps = config.replicates
     step = max(1, math.ceil(reps / (workers * 4)))
     spans = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
-    tasks = [(s, lo, hi) for s in range(len(config.sweep_values)) for lo, hi in spans]
-    results = []
+    points, results = [], []
     with (_pool(workers) if workers > 1 else contextlib.nullcontext()) as pool:
-        if pool is None:
-            blocks = (_run_block(config, *task) for task in tasks)
-        else:
-            futures = [pool.submit(_run_block, config, *task) for task in tasks]
-            blocks = (future.result() for future in futures)
+        task = partial if pool is None else lambda fn, *args: pool.submit(fn, *args).result
         try:
+            blocks = iter([task(_run_block, config, s, lo, hi)
+                           for s in range(len(config.sweep_values)) for lo, hi in spans])
             for s, value in enumerate(config.sweep_values):
-                n, theta_n, est_cfg = _point_setup(config, value)
                 errors = np.empty(reps)
                 clamps = np.empty(reps, dtype=bool)
                 for _ in spans:
-                    lo, errs, flags = next(blocks)
+                    lo, errs, flags = next(blocks)()
                     errors[lo:lo + errs.size] = errs
                     clamps[lo:lo + flags.size] = flags
                 sq = errors ** 2
-                boot_rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=config.master_seed, spawn_key=(s, 1)))
-                lo_mean, hi_mean = bootstrap_ci(sq, level=0.95, resamples=1000, rng=boot_rng)
+                points.append((s, value, sq.mean(), clamps.mean(),
+                               task(_bootstrap, config.master_seed, s, sq)))
+            for s, value, mean_sq, clamp_rate, ci in points:
+                n, theta_n, est_cfg = _point_setup(config, value)
+                lo_mean, hi_mean = ci()
                 results.append(MseResult(
                     sweep_value=float(value),
                     n=n,
                     replicates=reps,
-                    scaled_mse=float(n * sq.mean()),
+                    scaled_mse=float(n * mean_sq),
                     ci_lo=float(n * lo_mean),
                     ci_hi=float(n * hi_mean),
-                    clamp_rate=float(clamps.mean()),
+                    clamp_rate=float(clamp_rate),
                     theory_optimal=optimal_asymptotic_variance(params, config.sigma),
                     theory_one_stage=one_stage_asymptotic_variance(
                         theta_n, est_cfg.theta0, params, config.sigma),
                 ))
         except BaseException:
-            if pool is not None:  # drop the spans no worker has taken, wait for the rest
+            if pool is not None:  # drop tasks no worker took, wait for the rest
                 pool.shutdown(cancel_futures=True)
             raise
     return results

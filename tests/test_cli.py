@@ -377,6 +377,25 @@ class TestSimulate:
                 "--workers", "3")
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_one_usable_cpu_runs_in_process(self, tmp_path, capsys, monkeypatch, affinity):
+        # the pool is capped at the CPUs this process may run on, or, where the
+        # platform cannot tell, at the installed ones
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG)
+        a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        run_cli(capsys, "simulate", str(cfg), "--seed", "7", "--output", str(a))
+        if affinity:
+            monkeypatch.setattr(sim.os, "sched_getaffinity", lambda _pid: {0})
+        else:
+            monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(sim.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(sim, "_pool", _no_work)
+        code, _, _ = run_cli(capsys, "simulate", str(cfg), "--seed", "7", "--output", str(b),
+                             "--workers", "2")
+        assert code == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
     def test_replicates_override_flag(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL_CFG)

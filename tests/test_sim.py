@@ -2,6 +2,8 @@ import contextlib
 import dataclasses
 import functools
 import math
+import multiprocessing
+import os
 import time
 import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -30,6 +32,7 @@ from ldpmean.sim import (
     bootstrap_ci,
     results_to_csv,
     run_experiment,
+    _bootstrap,
     _replicate_states,
     _run_block,
     synthetic_sample,
@@ -65,6 +68,17 @@ def _held_block(tmp, config, sweep_index, r_lo, r_hi):
     result = _run_block(config, sweep_index, r_lo, r_hi)
     (tmp / "ended" / f"{sweep_index}-{r_lo}").touch()
     return result
+
+
+def _bootstrap_failing_at_point_1(master_seed, s, sq):
+    if s == 1:
+        raise FloatingPointError("bootstrap failed")
+    return _bootstrap(master_seed, s, sq)
+
+
+def _usable_cpus(monkeypatch, count):
+    """Make ``count`` CPUs the ones this process may run on."""
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda _pid: set(range(count)))
 
 
 class _ReleasingPool(ProcessPoolExecutor):
@@ -556,7 +570,7 @@ class TestDeterminism:
 class TestPool:
     def test_worker_counts_agree_on_three_points(self, monkeypatch):
         # 30 replicates cut into spans of 8, 4 and 3 for 1, 2 and 3 workers
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+        _usable_cpus(monkeypatch, 3)
         config = small_config(replicates=30, sweep_values=(30.0, 60.0, 100.0))
         reference = run_experiment(config, workers=1)
         assert len(reference) == 3
@@ -583,7 +597,7 @@ class TestPool:
                 pass
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        _usable_cpus(monkeypatch, 2)
         config = small_config(replicates=8, sweep_values=(30.0,))
         assert run_experiment(config, workers=10**6) == run_experiment(config, workers=1)
         assert sizes == [2]
@@ -609,6 +623,30 @@ class TestPool:
         assert len(started) <= 1 + workers + (workers + EXTRA_QUEUED_CALLS)
         if workers == 1:
             assert started == {"0-0"}
+
+    def test_coordinator_runs_no_bootstrap(self, monkeypatch):
+        # forked workers inherit the wrapper but run under their own pids
+        config = small_config(replicates=30, sweep_values=(30.0, 60.0, 100.0))
+        reference = run_experiment(config, workers=1)
+        coordinator, bootstrap = os.getpid(), sim.bootstrap_ci
+
+        def in_workers_only(*args, **kwargs):
+            if os.getpid() == coordinator:
+                raise AssertionError("the coordinating process ran a bootstrap")
+            return bootstrap(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "bootstrap_ci", in_workers_only)
+        _usable_cpus(monkeypatch, 2)
+        assert run_experiment(config, workers=2) == reference
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_bootstrap_propagates(self, monkeypatch, workers):
+        monkeypatch.setattr(sim, "_bootstrap", _bootstrap_failing_at_point_1)
+        _usable_cpus(monkeypatch, 2)
+        config = small_config(replicates=16, sweep_values=(30.0, 60.0, 100.0))
+        with pytest.raises(FloatingPointError, match="bootstrap failed"):
+            run_experiment(config, workers=workers)
+        assert multiprocessing.active_children() == []
 
 
 class TestCsv:

@@ -5,7 +5,8 @@
 ``lp.dual_certificate``.  A refactor that drops one of those names breaks
 every traced pass, so installing the tracer must keep working.  It also
 replaces ``sim.np`` and the process pool, so a traced run must give the
-untraced run's results and send its tasks through the traced pool.
+untraced run's results and send its tasks, spans and bootstraps, through
+the traced pool, whose workers' spans and counters are merged back.
 ``lp.equality_chain`` calls its steps, and they call the row-information
 kernel, by their module-level names, so a traced chain records a span for
 each of them.
@@ -32,6 +33,7 @@ def test_tracer_installs_on_the_package():
 
 
 TRACED_RUN = """\
+import os
 import sys
 sys.path[:0] = ["perfbench", "src"]
 import layertrace
@@ -44,8 +46,16 @@ layertrace.install(tracer)
 traced = sim.run_experiment(cfg, workers=2)
 if traced != plain:
     sys.exit("traced results differ")
-# the pool is looked up as sim.ProcessPoolExecutor, so the traced pool ran the spans
-sys.exit(0 if tracer.counters["sim.pool_tasks"] > 0 else "the traced pool ran no task")
+# the pool is looked up as sim.ProcessPoolExecutor, so the traced pool ran every task:
+# 8 spans of 5 replicates per point, then the point's bootstrap
+if tracer.counters["sim.pool_tasks"] != 2 * 8 + 2:
+    sys.exit(f"the traced pool ran {tracer.counters['sim.pool_tasks']} tasks, not 18")
+# the workers' bootstrap spans and counters are merged into the tracer
+if tracer.counters["sim.bootstrap_calls"] != 2:
+    sys.exit(f"{tracer.counters['sim.bootstrap_calls']} bootstrap calls were merged, not 2")
+boot_pids = [span[0] >> 32 for span in tracer.spans if span[2] == "sim.bootstrap"]
+if len(boot_pids) != 2 or os.getpid() in boot_pids:
+    sys.exit(f"bootstrap spans came from pids {boot_pids}, not from two worker tasks")
 """
 
 
