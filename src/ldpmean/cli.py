@@ -54,8 +54,7 @@ _LAZY = {
     **dict.fromkeys(["estimate", "optimal_asymptotic_variance"], ".estimators"),
     "equality_chain": ".lp",
     "privacy_params": ".mechanisms",
-    **dict.fromkeys(["build_quantized_model", "row_information_many", "sign_fisher_info"],
-                    ".quantized"),
+    "sign_fisher_info": ".quantized",
 }
 
 
@@ -223,19 +222,12 @@ def manifest_text(config: ExperimentConfig, output_path: str) -> str:
 
 def _cmd_fisher(args) -> int:
     params = _cli.privacy_params(args.epsilon)
-    payload = {
+    _emit({
         "epsilon": args.epsilon,
         "t_eps": params.t_eps,
         "sign_fisher_info": _cli.sign_fisher_info(params),
         "optimal_variance": _cli.optimal_asymptotic_variance(params, args.sigma),
-    }
-    if args.k is not None:
-        model = _cli.build_quantized_model(args.k)
-        t = params.t_eps  # the sign bit's rows: (1 - t)/2, plus t on the lower or the upper half
-        halves = _cli.np.repeat(_cli.np.eye(2), args.k // 2, axis=0)
-        payload["quantized_check"] = t * t * float(
-            _cli.row_information_many(halves, (1.0 - t) / 2.0, t, model).sum())
-    _emit(payload)
+    })
     return EXIT_OK
 
 
@@ -344,8 +336,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fisher", help="closed-form information and variance")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--sigma", type=real, default=1.0)
-    p.add_argument("--k", type=int, default=None,
-                   help="also report the level-k embedded-channel information")
     p.set_defaults(func=_cmd_fisher)
 
     p = sub.add_parser("lp-verify", help="solve the staircase program and check the certificate")

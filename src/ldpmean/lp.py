@@ -1,24 +1,30 @@
 """Staircase linear program for the best discrete privacy channel.
 
 Extreme points of the epsilon-LDP polytope are staircase columns whose
-entries take only the values {1, e^epsilon}.  Maximizing the released
-Fisher information over level-k channels therefore reduces to a linear
-program over mixtures of the 2^k staircase columns:
+entries take only the values {1, e^epsilon} (Kairouz, Oh & Viswanath,
+"Extremal mechanisms for local differential privacy", JMLR 2016).
+Maximizing the released Fisher information over level-k channels
+therefore reduces to a linear program over mixtures of staircase columns:
 
     max  mu . alpha   s.t.   S alpha = 1,  alpha >= 0,
 
-where column j of S (0-based) encodes the binary word of the integer j,
-most significant bit first, via 1 + s * bit with s = e^eps - 1, and mu_j
-is that column's information.  This module materializes the program for
-small even k in bit form (S itself is never built), solves it exactly with
-a revised simplex, constructs the explicit dual certificate whose objective
-equals the sign mechanism's information, and checks that certificate
-against every column with an exact structured sweep in O(k^2) (any even k
-up to 2^16, no enumeration of the 2^k columns).  ``equality_chain`` runs
-those public steps in order: build_staircase_lp, solve_primal,
-sign_candidate, dual_certificate (which returns beta) and
-check_dual_feasibility.  They share one quantizer model per k, cached by
-``build_quantized_model``.
+where a column of S is 1 + s * bits over a 0/1 word of the k cells, s =
+e^eps - 1, and mu is that column's information.  Of the 2^k words the
+program keeps the k(k+1)/2 + 1 intervals: the all-zero word and the ones
+on [a, b), 0 <= a < b <= k.  The verdict is the one all 2^k columns would
+give: the sign mechanism's two columns are intervals, so candidate <=
+interval optimum <= full optimum, and when the certificate beta is
+feasible on all 2^k columns, weak duality caps the full optimum at
+sum(beta) = (2/pi) t_eps^2, the candidate's value.  This module
+materializes the program for small even k in bit form (S itself is never
+built), solves it exactly with a revised simplex, constructs the explicit
+dual certificate whose objective equals the sign mechanism's information,
+and checks that certificate against all 2^k columns with an exact
+structured sweep in O(k^2) (any even k up to 2^16, no enumeration of the
+columns).  ``equality_chain`` runs those public steps in order:
+build_staircase_lp, solve_primal, sign_candidate, dual_certificate (which
+returns beta) and check_dual_feasibility.  They share one quantizer model
+per k, cached by ``build_quantized_model``.
 
 The grid proof in ``tests/oracles.py`` shows the certificate feasible for
 eps <= 1.048.  It stays feasible well beyond that bound: its threshold is
@@ -33,8 +39,9 @@ Budgets whose staircase arithmetic would overflow float64, that is with
 k e^(2 eps) beyond the largest double (eps above about 354.9 - ln(k) / 2,
 and inf), are rejected with ValueError.
 
-Index convention: columns are identified everywhere by the integer whose
-binary word generates them (0 .. 2^k - 1).
+Index convention: a program column is its position in ``StaircaseLp.bits``;
+the sweep's ``worst_column`` is the integer whose binary word (MSB first)
+generates the column.
 """
 
 from __future__ import annotations
@@ -54,13 +61,14 @@ ROUND_OFF = 1e-9          # relative gap that every comparison of lp-verify forg
 
 @dataclass(frozen=True)
 class StaircaseLp:
-    """Staircase program in bit form: the dense S = 1 + s * bits is never built.
+    """Interval program in bit form: the dense S = 1 + s * bits is never built.
 
-    program is the (k + 1, 2^k + 1) matrix [bits, -1; 1, s] of the equality
-    rows that ``solve_primal`` hands to the simplex, and bits, the (k, 2^k)
-    word matrix, is its read-only view.  s = e^eps - 1, and unit_j =
-    k (y . b_j)^2 / (k + s |b_j|) is column j's information mu_j over s^2
-    (``row_information_many`` at base 1).
+    program is the (k + 1, k(k+1)/2 + 2) matrix [bits, -1; 1, s] of the
+    equality rows that ``solve_primal`` hands to the simplex, and bits, its
+    read-only view, holds the interval words: column 0 is all-zero, column
+    j <= k the prefix [0, j), then [a, b) for 1 <= a < b <= k, by a, then b.
+    s = e^eps - 1, and unit_j = k (y . b_j)^2 / (k + s |b_j|) is column j's
+    information mu_j over s^2 (``row_information_many`` at base 1).
     """
 
     k: int
@@ -76,7 +84,7 @@ class StaircaseLp:
 
 @dataclass(frozen=True)
 class PrimalSolution:
-    """Column weights alpha (length 2^k) and their objective value.
+    """Column weights alpha, one per column of ``StaircaseLp.bits``, and their objective value.
 
     ``pivots`` counts the simplex's pivots; a point built in closed form
     took none.
@@ -120,18 +128,19 @@ def _staircase_step(params: PrivacyParams, k: int) -> float:
     return s
 
 
-def _program_matrix(k: int, s: float) -> np.ndarray:
-    """The bit form's equality rows [bits, -1; 1, s], shape (k + 1, 2^k + 1).
+def _interval_program(k: int, s: float) -> np.ndarray:
+    """The equality rows [bits, -1; 1, s] over the interval words, in ``StaircaseLp`` order.
 
-    Row i of bits is bit k - 1 - i of the column indices 0 .. 2^k - 1 (the
-    words MSB first): in blocks of 2^(k-i) columns, the second half of each
-    block is ones, written by one slice assignment per row.
+    The word [a, b) has ones on the cells a <= i < b; taking a, then b, in
+    increasing order puts the prefixes [0, b) right after the all-zero word.
     """
-    n = 1 << k
+    n = k * (k + 1) // 2 + 1
     program = np.zeros((k + 1, n + 1))
-    for i in range(k):
-        block = n >> i
-        program[i, :n].reshape(-1, block)[:, block >> 1:] = 1.0
+    col = 1
+    for a in range(k):
+        for b in range(a + 1, k + 1):
+            program[a:b, col] = 1.0
+            col += 1
     program[:k, n] = -1.0
     program[k, :n] = 1.0
     program[k, n] = s
@@ -145,12 +154,12 @@ def _agree(a: float, b: float) -> bool:
 
 
 def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
-    """Materialize the bit form for even 2 <= k <= 12 (4096 columns)."""
+    """Materialize the bit form for even 2 <= k <= 12 (79 interval columns at k = 12)."""
     if k > MAX_SOLVE_K:
         raise ValueError(f"k must satisfy 2 <= k <= {MAX_SOLVE_K}, got {k!r}")
     model = build_quantized_model(k)
     s = _staircase_step(params, k)
-    program = _program_matrix(k, s)
+    program = _interval_program(k, s)
     unit = row_information_many(program[:k, :-1], 1.0, s, model)
     mu_vec = (s * s) * unit
     for array in (program, unit, mu_vec):
@@ -206,11 +215,6 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def _prefix_basis(k: int) -> list[int]:
-    """Columns of the prefix words 1^j 0^(k-j), j = 0..k: word 0 ignores its input."""
-    return [((1 << j) - 1) << (k - j) for j in range(k + 1)]
-
-
 def _prefix_inverse(k: int) -> np.ndarray:
     """B^-1 of the prefix basis: rows e_k - e_0, e_(j-1) - e_j (j = 1..k-1) and e_(k-1)."""
     inverse = np.eye(k + 1, k=-1) - np.eye(k + 1)
@@ -220,40 +224,38 @@ def _prefix_inverse(k: int) -> np.ndarray:
 
 
 def solve_primal(lp: StaircaseLp) -> PrimalSolution:
-    """Solve the staircase program exactly with the revised simplex.
+    """Solve the interval program exactly with the revised simplex.
 
     It runs on the bit form: with c = (1 - 1 . alpha) / s >= 0, the k rows
     S alpha = 1 are bits alpha - c 1 = 0 and 1 . alpha + s c = 1 (the rows
     of ``lp.program``), and the objective is unit . alpha = mu . alpha /
     s^2.  The simplex starts at the channel that ignores its input, alpha =
-    e_0, with the k + 1 prefix words as its basis: c is not among them, so
-    B^-1 does not depend on eps (``_prefix_inverse``), and every row of
-    [x_B | B^-1] = [e_0 | B^-1] is lexicographically positive.  At the
-    vertex it returns, c is basic unless alpha sits on column 0 alone, so
-    at most k weights are nonzero.
+    e_0, with the k + 1 prefix words, columns 0..k, as its basis: c is not
+    among them, so B^-1 does not depend on eps (``_prefix_inverse``), and
+    every row of [x_B | B^-1] = [e_0 | B^-1] is lexicographically positive.
+    At the vertex it returns, c is basic unless alpha sits on column 0
+    alone, so at most k weights are nonzero.
     """
     k, n = lp.bits.shape
     x, _, pivots = _simplex_max(lp.program, np.eye(k + 1)[k], np.append(lp.unit, 0.0),
-                                _prefix_basis(k), _prefix_inverse(k))
+                                list(range(k + 1)), _prefix_inverse(k))
     return PrimalSolution(alpha=x[:n], value=float(lp.mu_vec @ x[:n]), pivots=pivots)
 
 
 def sign_candidate(lp: StaircaseLp) -> PrimalSolution:
     """Feasible point that encodes randomized response on the half split.
 
-    Weight 1/(2 + s) = 1/(1 + e^eps) sits on exactly two columns: the word
-    with ones on the upper half of the indices (0..01..1) and its
-    complement (1..10..0).  The two columns sum to 2 + s in every row, so
-    S alpha = 1 holds by construction, and the objective equals the sign
-    mechanism's Fisher information.
+    Weight 1/(2 + s) = 1/(1 + e^eps) sits on exactly two columns: the
+    intervals [0, k/2) and [k/2, k).  The two columns sum to 2 + s in every
+    row, so S alpha = 1 holds by construction, and the objective equals the
+    sign mechanism's Fisher information.
     """
     half = lp.k // 2
-    lower_ones = int("0" * half + "1" * half, 2)
-    upper_ones = int("1" * half + "0" * half, 2)
-    alpha = np.zeros(1 << lp.k)
+    n = lp.bits.shape[1]
+    alpha = np.zeros(n)
     weight = 1.0 / (2.0 + lp.s)
-    alpha[lower_ones] = weight
-    alpha[upper_ones] = weight
+    alpha[half] = weight  # the prefix [0, k/2)
+    alpha[n - 1 - half * (half - 1) // 2] = weight  # [k/2, k): later intervals start above k/2
     return PrimalSolution(alpha=alpha, value=float(lp.mu_vec @ alpha))
 
 

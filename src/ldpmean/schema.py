@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 ESTIMATOR_KINDS = ("one", "two", "three")
-MAX_SOLVE_K = 12  # simplex over the materialized 2^k columns
+MAX_SOLVE_K = 12  # where tests check the interval optimum against the 2^k program
 
 
 @dataclass(frozen=True)

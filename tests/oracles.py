@@ -15,7 +15,11 @@ No command runs these, so they live beside the tests rather than in
 * ``simplex_max`` and ``column_bits``: the all-numpy revised simplex
   (min-ratio test and lexicographic tie-break by ``np.lexsort``, starting
   basis inverted by ``np.linalg.inv``) and the shift-and-mask word matrix,
-  the slow references for ``lp._simplex_max`` and ``lp._program_matrix``.
+  the slow references for ``lp._simplex_max`` and ``lp._interval_program``.
+* ``full_staircase_lp``, ``prefix_words`` and ``full_primal``: the staircase
+  program over all 2^k words, its starting basis and its optimum, the
+  reference that the interval program of ``lp.build_staircase_lp`` is
+  checked against.
 * ``certificate_margin`` with its ``_upper`` and ``_lower`` boundary forms,
   and ``interior_stationarity``: the closed-form margins whose grid
   nonnegativity proves the dual certificate feasible for eps <= 1.048.
@@ -34,7 +38,7 @@ import numpy as np
 
 from ldpmean.lp import PrimalSolution, StaircaseLp
 from ldpmean.mechanisms import PrivacyParams
-from ldpmean.quantized import QuantizedModel
+from ldpmean.quantized import QuantizedModel, build_quantized_model, row_information_many
 
 
 def verify_ldp(Q, epsilon: float, tol: float = 1e-12) -> bool:
@@ -115,7 +119,7 @@ def embed_sign_channel(params: PrivacyParams, k: int) -> np.ndarray:
 
 
 def staircase_matrix(lp: StaircaseLp) -> np.ndarray:
-    """The dense (k, 2^k) matrix S = 1 + s * bits of the program, read-only."""
+    """The dense matrix S = 1 + s * bits of the program, one column per word, read-only."""
     S = 1.0 + lp.s * lp.bits
     S.setflags(write=False)
     return S
@@ -177,6 +181,34 @@ def column_bits(js: np.ndarray, k: int) -> np.ndarray:
     """Binary words (MSB first) of the integers ``js`` as the columns of a (k, len) array."""
     shifts = np.arange(k - 1, -1, -1)
     return ((js[None, :] >> shifts[:, None]) & 1).astype(float)
+
+
+def full_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
+    """The bit form over all 2^k words, column j the word of j (``column_bits``).
+
+    The same rows [bits, -1; 1, s] and information as the interval program
+    of ``lp.build_staircase_lp``, with s = expm1(eps).
+    """
+    n = 1 << k
+    s = math.expm1(params.epsilon)
+    bits = column_bits(np.arange(n), k)
+    program = np.zeros((k + 1, n + 1))
+    program[:k, :n], program[:k, n], program[k, :n], program[k, n] = bits, -1.0, 1.0, s
+    unit = row_information_many(bits, 1.0, s, build_quantized_model(k))
+    return StaircaseLp(k, program, s, unit, s * s * unit)
+
+
+def prefix_words(k: int) -> list[int]:
+    """The integers of the words 1^j 0^(k-j), j = 0..k: the prefixes [0, j) among all 2^k words."""
+    return [((1 << j) - 1) << (k - j) for j in range(k + 1)]
+
+
+def full_primal(lp: StaircaseLp) -> PrimalSolution:
+    """Optimum of a ``full_staircase_lp`` by ``simplex_max`` from the prefix words, alpha over 2^k."""
+    k, n = lp.bits.shape
+    x, _, pivots = simplex_max(lp.program, np.eye(k + 1)[k], np.append(lp.unit, 0.0),
+                               prefix_words(k))
+    return PrimalSolution(alpha=x[:n], value=float(lp.mu_vec @ x[:n]), pivots=pivots)
 
 
 def certificate_margin(a1, a2, x, y, t):

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from ldpmean.cli import (
     parse_kv,
 )
 from ldpmean.mechanisms import privacy_params
-from ldpmean.quantized import MAX_LEVEL, sign_fisher_info
+from ldpmean.quantized import sign_fisher_info
 from ldpmean.schema import EstimatorConfig
 from ldpmean.sim import ExperimentConfig
 
@@ -121,41 +120,6 @@ class TestFisher:
         assert payload["sign_fisher_info"] == 0.0
         assert payload["optimal_variance"] == "inf"
 
-    def test_quantized_check(self, capsys):
-        code, out, _ = run_cli(capsys, "fisher", "--epsilon", "1", "--k", "6")
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["quantized_check"] == pytest.approx(
-            payload["sign_fisher_info"], abs=1e-12)
-
-    def test_largest_level_in_bounded_memory(self, capsys):
-        # the embedded channel is (2, k): a dense k x k one would be 32 GiB here
-        tracemalloc.start()
-        try:
-            code, out, _ = run_cli(capsys, "fisher", "--epsilon", "1", "--k", str(MAX_LEVEL))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["quantized_check"] == pytest.approx(
-            payload["sign_fisher_info"], abs=1e-12)
-        assert peak < 32 * 2 ** 20
-
-    @pytest.mark.parametrize("k", [2, 8, 1024, MAX_LEVEL])
-    def test_quantized_check_keeps_its_digits(self, capsys, k):
-        # the budget sits in the step t of the sign bit's rows, not in the last bits of p_eps
-        mpmath = pytest.importorskip("mpmath")
-        for eps in ("1e-15", "1e-12", "1e-8", "1", "40", "800", "inf"):
-            code, out, _ = run_cli(capsys, "fisher", "--epsilon", eps, "--k", str(k))
-            assert code == EXIT_OK
-            value = json.loads(out)["quantized_check"]
-            with mpmath.workdps(50):
-                exact = 2 / mpmath.pi * mpmath.tanh(mpmath.mpf(float(eps)) / 2) ** 2
-                assert abs(mpmath.mpf(value) / exact - 1) <= 1e-13, (eps, value)
-        code, out, _ = run_cli(capsys, "fisher", "--epsilon", "0", "--k", str(k))
-        assert code == EXIT_OK and json.loads(out)["quantized_check"] == 0.0
-
     def test_square_of_sigma_underflows(self, capsys):
         code, out, err = run_cli(capsys, "fisher", "--epsilon", "1", "--sigma", "1e-170")
         assert code == EXIT_OK, err
@@ -170,11 +134,13 @@ class TestFisher:
     def test_bad_flags(self, capsys):
         assert run_cli(capsys, "fisher", "--epsilon", "-1")[0] == EXIT_USAGE
         assert run_cli(capsys, "fisher")[0] == EXIT_USAGE
+        # --k is retired: the sign bit's level-k rows are tested on row_information_many
         assert run_cli(capsys, "fisher", "--epsilon", "1", "--k", "5")[0] == EXIT_USAGE
+        assert run_cli(capsys, "fisher", "--epsilon", "1", "--k", "8")[0] == EXIT_USAGE
 
     def test_repeat_output_identical(self, capsys):
-        first = run_cli(capsys, "fisher", "--epsilon", "0.8", "--k", "4")
-        second = run_cli(capsys, "fisher", "--epsilon", "0.8", "--k", "4")
+        first = run_cli(capsys, "fisher", "--epsilon", "0.8", "--sigma", "2")
+        second = run_cli(capsys, "fisher", "--epsilon", "0.8", "--sigma", "2")
         assert first == second
 
 
@@ -214,7 +180,7 @@ class TestLpVerify:
         def no_columns(k, s):
             raise AssertionError("staircase columns built for an oversized level")
 
-        monkeypatch.setattr("ldpmean.lp._program_matrix", no_columns)
+        monkeypatch.setattr("ldpmean.lp._interval_program", no_columns)
         code, out, err = run_cli(capsys, "lp-verify", "--k", k, "--epsilon", "1")
         assert_one_line_usage_error(code, err)
         assert out == ""
@@ -248,7 +214,7 @@ class TestLpVerify:
 
 class TestParserReuse:
     CALLS = [("lp-verify", "--k", "4", "--epsilon", "1"),
-             ("fisher", "--epsilon", "0.8", "--k", "4"),
+             ("fisher", "--epsilon", "0.8", "--sigma", "2"),
              ("lp-verify", "--k", "5", "--epsilon", "1"),
              ("estimate", "--epsilon", "1", "--seed", "42", "--synthetic", "--n", "5000"),
              ("lp-verify", "--k", "4", "--epsilon", "1")]

@@ -18,7 +18,8 @@ from ldpmean.lp import (
     solve_primal,
 )
 from ldpmean.mechanisms import privacy_params
-from ldpmean.quantized import MAX_LEVEL, build_quantized_model
+from ldpmean.quantized import MAX_LEVEL, build_quantized_model, sign_fisher_info
+from ldpmean.schema import MAX_SOLVE_K
 from oracles import (
     certificate_margin,
     certificate_margin_lower,
@@ -27,8 +28,11 @@ from oracles import (
     dense_row_information,
     embed_sign_channel,
     fisher_info_quantized,
+    full_primal,
+    full_staircase_lp,
     interior_stationarity,
     mechanism_from_solution,
+    prefix_words,
     simplex_max,
     staircase_matrix,
     verify_ldp,
@@ -36,7 +40,7 @@ from oracles import (
 
 
 def brute_force_optimum(lp):
-    """Enumerate every basis of the k x 2^k program and keep the best vertex.
+    """Enumerate every basis of a program (the k x 2^k one in these tests) and keep the best vertex.
 
     Independent of the simplex path: solves each k x k system directly and
     checks feasibility by hand.  Only viable for tiny k.
@@ -70,6 +74,15 @@ def enumerated_worst_slack(k, params):
     return float(slack.min())
 
 
+def interval_words(k):
+    """Integers of the interval words in program order: 0, then [a, b) for a < b by a, then b.
+
+    The word of [a, b), most significant bit first, is 2^(k-a) - 2^(k-b).
+    """
+    return np.array([0] + [(1 << (k - a)) - (1 << (k - b))
+                           for a in range(k) for b in range(a + 1, k + 1)])
+
+
 def direct_slack(column, k, params):
     """Certificate slack of one column word, evaluated from its bits."""
     bits = np.array([(column >> (k - 1 - i)) & 1 for i in range(k)])
@@ -80,16 +93,25 @@ def direct_slack(column, k, params):
 
 class TestBuildStaircase:
     def test_level_four_structure(self):
-        # 4 x 16 staircase: column j encodes the binary word of j, MSB first
-        lp = build_staircase_lp(4, privacy_params(1.0))
+        # 4 x 11 interval staircase: the all-ones column, the prefixes [0, j), then
+        # [1, 2), [1, 3), [1, 4), [2, 3), [2, 4), [3, 4)
+        params = privacy_params(1.0)
         e = math.e
         expected = np.array([
+            [1, e, e, e, e, 1, 1, 1, 1, 1, 1],
+            [1, 1, e, e, e, e, e, e, 1, 1, 1],
+            [1, 1, 1, e, e, 1, e, e, e, e, 1],
+            [1, 1, 1, 1, e, 1, 1, e, 1, e, e],
+        ])
+        assert np.allclose(staircase_matrix(build_staircase_lp(4, params)), expected, atol=1e-15)
+        # 4 x 16 reference: column j encodes the binary word of j, MSB first
+        full = np.array([
             [1] * 8 + [e] * 8,
             ([1] * 4 + [e] * 4) * 2,
             ([1] * 2 + [e] * 2) * 4,
             [1, e] * 8,
         ])
-        assert np.allclose(staircase_matrix(lp), expected, atol=1e-15)
+        assert np.allclose(staircase_matrix(full_staircase_lp(4, params)), full, atol=1e-15)
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_odd_level_rejected(self, k):
@@ -97,9 +119,10 @@ class TestBuildStaircase:
             build_staircase_lp(k, privacy_params(1.0))
 
     def test_level_two_columns(self):
+        # at k = 2 all four words are intervals: [0, 0), [0, 1), [0, 2), [1, 2)
         lp = build_staircase_lp(2, privacy_params(1.0))
         e = math.e
-        assert np.allclose(staircase_matrix(lp).T, [[1, 1], [1, e], [e, 1], [e, e]], atol=1e-15)
+        assert np.allclose(staircase_matrix(lp).T, [[1, 1], [e, 1], [e, e], [1, e]], atol=1e-15)
 
     def test_all_ones_column_has_zero_weight(self):
         # mu(ones) = (sum y)^2 which cancels to round-off
@@ -112,7 +135,7 @@ class TestBuildStaircase:
         lp = build_staircase_lp(k, privacy_params(0.9))
         model = build_quantized_model(k)
         S = staircase_matrix(lp)
-        each = [dense_row_information(S[:, j:j + 1], model)[0] for j in range(2 ** k)]
+        each = [dense_row_information(S[:, j:j + 1], model)[0] for j in range(S.shape[1])]
         assert np.allclose(lp.mu_vec, each, atol=1e-15)
 
     @pytest.mark.parametrize("eps", [1e-12, 0.5, 3.0])
@@ -129,7 +152,7 @@ class TestBuildStaircase:
         # [bits, -1; 1, s], filled once and read-only; bits is its view, not a copy
         lp = build_staircase_lp(6, privacy_params(eps))
         k, n = lp.bits.shape
-        expected = np.block([[column_bits(np.arange(n), k), -np.ones((k, 1))],
+        expected = np.block([[column_bits(interval_words(k), k), -np.ones((k, 1))],
                              [np.ones((1, n)), np.array([[lp.s]])]])
         assert np.array_equal(lp.program, expected)
         assert not lp.program.flags.writeable and not lp.bits.flags.writeable
@@ -137,8 +160,25 @@ class TestBuildStaircase:
 
     @pytest.mark.parametrize("k", range(2, 17, 2))
     def test_word_matrix_matches_the_shift_form(self, k):
-        program = lp_module._program_matrix(k, 0.5)
-        assert np.array_equal(program[:k, :-1], column_bits(np.arange(1 << k), k))
+        program = lp_module._interval_program(k, 0.5)
+        assert np.array_equal(program[:k, :-1], column_bits(interval_words(k), k))
+
+    def test_program_has_one_column_per_interval(self):
+        # the all-zero word and the k(k+1)/2 intervals, plus the column of c
+        for k in range(2, MAX_SOLVE_K + 1, 2):
+            lp = build_staircase_lp(k, privacy_params(1.0))
+            assert lp.program.shape == (k + 1, k * (k + 1) // 2 + 2), k
+
+    def test_every_column_is_one_run_of_ones(self):
+        for k in range(2, MAX_SOLVE_K + 1, 2):
+            bits = build_staircase_lp(k, privacy_params(1.0)).bits
+            runs = []
+            for column in bits.T:
+                ones = np.flatnonzero(column)
+                assert set(np.unique(column)) <= {0.0, 1.0}
+                assert ones.size == 0 or np.array_equal(ones, np.arange(ones[0], ones[-1] + 1))
+                runs.append((int(ones[0]), int(ones[-1]) + 1) if ones.size else (0, 0))
+            assert len(set(runs)) == len(runs) == k * (k + 1) // 2 + 1, k
 
     def test_chain_never_builds_the_dense_matrix(self):
         # the program holds the bit form only; S exists only as the tests' staircase_matrix
@@ -159,12 +199,15 @@ class TestSolvePrimal:
         params = privacy_params(1.0)
         lp = build_staircase_lp(2, params)
         sol = solve_primal(lp)
-        assert sol.value == pytest.approx(brute_force_optimum(lp), abs=1e-10)
+        assert sol.value == pytest.approx(brute_force_optimum(full_staircase_lp(2, params)),
+                                          abs=1e-10)
         assert sol.value == pytest.approx((2 / math.pi) * params.t_eps ** 2, abs=1e-9)
 
     def test_level_four_against_basis_enumeration(self):
-        lp = build_staircase_lp(4, privacy_params(0.6))
-        assert solve_primal(lp).value == pytest.approx(brute_force_optimum(lp), abs=1e-10)
+        params = privacy_params(0.6)
+        lp = build_staircase_lp(4, params)
+        assert solve_primal(lp).value == pytest.approx(
+            brute_force_optimum(full_staircase_lp(4, params)), abs=1e-10)
 
     def test_level_four_half_budget(self):
         sol = solve_primal(build_staircase_lp(4, privacy_params(0.5)))
@@ -192,14 +235,15 @@ class TestSolvePrimal:
     @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12])
     def test_against_highs(self, k):
         # independent oracle: HiGHS shares no code with the revised simplex and
-        # reads the dense S and mu;
+        # reads the dense S and mu of all 2^k columns;
         # from about eps = 2 the optimum exceeds the sign mechanism's value
         linprog = pytest.importorskip("scipy.optimize").linprog
         for eps in (0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.8):
-            lp = build_staircase_lp(k, privacy_params(eps))
-            ref = linprog(-lp.mu_vec, A_eq=staircase_matrix(lp), b_eq=np.ones(k), bounds=(0, None),
-                          method="highs")
+            full = full_staircase_lp(k, privacy_params(eps))
+            ref = linprog(-full.mu_vec, A_eq=staircase_matrix(full), b_eq=np.ones(k),
+                          bounds=(0, None), method="highs")
             assert ref.status == 0
+            lp = build_staircase_lp(k, privacy_params(eps))
             assert solve_primal(lp).value == pytest.approx(-ref.fun, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0])
@@ -212,14 +256,12 @@ class TestSolvePrimal:
     @pytest.mark.parametrize("eps", [0.0, 1e-12, 1.0, 8.8, 353.0])
     def test_prefix_basis_starts_lexicographically_positive(self, k, eps):
         # the channel that ignores its input is a vertex: B^-1 is exact and
-        # eps-free, B^-1 b = e_0, and the lexicographic rule may start there
+        # eps-free, B^-1 b = e_0, and the lexicographic rule may start there;
+        # the basis is the first k + 1 columns, the prefixes [0, j)
         lp = build_staircase_lp(k, privacy_params(eps))
-        n = 1 << k
-        A = np.empty((k + 1, n + 1))
-        A[:k, :n], A[:k, n], A[k, :n], A[k, n] = lp.bits, -1.0, 1.0, lp.s
-        basis = lp_module._prefix_basis(k)
-        assert basis[0] == 0 and n not in basis
-        B = A[:, basis]
+        prefixes = (np.arange(k)[:, None] < np.arange(k + 1)).astype(float)
+        assert np.array_equal(lp.bits[:, :k + 1], prefixes)
+        B = lp.program[:, :k + 1]
         assert np.linalg.matrix_rank(B) == k + 1
         inverse = np.linalg.inv(B)
         closed_form = lp_module._prefix_inverse(k)
@@ -244,13 +286,15 @@ class TestSolvePrimal:
 
 
     def test_no_tableau_is_allocated(self):
-        # a dense m x (n + m + 1) tableau would take more memory than A itself
+        # a dense m x (n + m + 1) tableau would take more memory than A itself;
+        # the 2^k program is the large one
         lp = build_staircase_lp(12, privacy_params(1.0))
-        k, n = lp.bits.shape
-        A = np.vstack([np.hstack([lp.bits, -np.ones((k, 1))]), np.append(np.ones(n), lp.s)])
+        full = full_staircase_lp(12, privacy_params(1.0))
+        k, n = full.bits.shape
+        A = np.vstack([np.hstack([full.bits, -np.ones((k, 1))]), np.append(np.ones(n), full.s)])
         rhs = np.append(np.zeros(k), 1.0)
-        costs = np.append(lp.unit, 0.0)
-        basis = lp_module._prefix_basis(k)
+        costs = np.append(full.unit, 0.0)
+        basis = prefix_words(k)
         tracemalloc.start()
         try:
             _, value, _ = lp_module._simplex_max(A, rhs, costs, basis, np.linalg.inv(A[:, basis]))
@@ -300,7 +344,9 @@ class TestAntiCycling:
         assert pivots <= 10
 
 
-ORACLE_BUDGETS = [0.0, 5e-324, 1e-12, 1e-8, 0.5, 1.0, 1.9, 3.0, 8.8, 17.0, 353.5]
+# The 132-chain grid: every even k up to 12 at each of these budgets.
+ORACLE_BUDGETS = [0.0, 5e-324, 1e-300, 1e-12, 1e-8, 1e-4, 0.1, 0.5, 1.0, 1.5, 1.9, 1.98, 2.0,
+                  2.5, 3.0, 5.0, 8.8, 17.0, 40.0, 100.0, 350.0, 353.5]
 
 
 class TestSimplexOracle:
@@ -309,20 +355,31 @@ class TestSimplexOracle:
     @pytest.mark.parametrize("k", range(2, 13, 2))
     @pytest.mark.parametrize("eps", ORACLE_BUDGETS)
     def test_same_vertex_value_and_pivots(self, k, eps):
-        lp = build_staircase_lp(k, privacy_params(eps))
-        n = 1 << k
-        A = np.empty((k + 1, n + 1))
-        A[:k, :n], A[:k, n], A[k, :n], A[k, n] = column_bits(np.arange(n), k), -1.0, 1.0, lp.s
-        rhs, costs, basis = np.eye(k + 1)[k], np.append(lp.unit, 0.0), lp_module._prefix_basis(k)
+        params = privacy_params(eps)
+        rhs = np.eye(k + 1)[k]
+        # the kernel on the 2^k program, from the prefix words
+        full = full_staircase_lp(k, params)
+        A, costs, basis = full.program, np.append(full.unit, 0.0), prefix_words(k)
         x_ref, value_ref, pivots_ref = simplex_max(A, rhs, costs, basis)
         x, value, pivots = lp_module._simplex_max(A, rhs, costs, basis, np.linalg.inv(A[:, basis]))
         assert np.array_equal(x, x_ref)
         assert value == value_ref
         assert pivots == pivots_ref
+        # solve_primal on the interval program, from its first k + 1 columns
+        lp = build_staircase_lp(k, params)
+        n = lp.bits.shape[1]
+        x_ref, _, pivots_ref = simplex_max(lp.program, rhs, np.append(lp.unit, 0.0),
+                                           list(range(k + 1)))
         solution = solve_primal(lp)
         assert np.array_equal(solution.alpha, x_ref[:n])
         assert solution.value == float(lp.mu_vec @ x_ref[:n])
         assert solution.pivots == pivots_ref
+        # the interval optimum is the 2^k optimum, and the verdict on it the same
+        full_value = full_primal(full).value
+        assert lp_module._agree(solution.value, full_value), (solution.value, full_value)
+        closed_form = sign_fisher_info(params)
+        assert lp_module._agree(solution.value, closed_form) == lp_module._agree(full_value,
+                                                                                 closed_form)
 
     @pytest.mark.parametrize("rows", [[0, 1, 2], [1, 0, 2]])
     def test_same_path_on_beale(self, rows):
@@ -340,10 +397,17 @@ class TestSignCandidate:
         lp = build_staircase_lp(2, privacy_params(1.0))
         cand = sign_candidate(lp)
         w = 1.0 / (1.0 + math.e)
-        assert cand.alpha[1] == pytest.approx(w, abs=1e-15)  # column (1, e)
-        assert cand.alpha[2] == pytest.approx(w, abs=1e-15)  # column (e, 1)
+        assert cand.alpha[3] == pytest.approx(w, abs=1e-15)  # column (1, e), the interval [1, 2)
+        assert cand.alpha[1] == pytest.approx(w, abs=1e-15)  # column (e, 1), the interval [0, 1)
         assert np.count_nonzero(cand.alpha) == 2
         assert cand.alpha[1] == pytest.approx(0.2689414, abs=1e-7)
+
+    @pytest.mark.parametrize("k", range(2, 13, 2))
+    def test_support_is_the_two_half_intervals(self, k):
+        lp = build_staircase_lp(k, privacy_params(0.7))
+        support = np.flatnonzero(sign_candidate(lp).alpha)
+        halves = np.repeat(np.eye(2), k // 2, axis=0)
+        assert np.array_equal(lp.bits[:, support], halves)
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8])
     @pytest.mark.parametrize("eps", [0.3, 1.0])
@@ -370,18 +434,21 @@ class TestMechanismFromSolution:
         params = privacy_params(1.0)
         lp = build_staircase_lp(2, params)
         Q = mechanism_from_solution(sign_candidate(lp), lp)
-        # same channel up to output relabeling (rows in support order)
-        assert np.allclose(Q[::-1], embed_sign_channel(params, 2), atol=1e-15)
+        # rows in support order: [0, 1) releases the lower half's symbol first
+        assert np.allclose(Q, embed_sign_channel(params, 2), atol=1e-15)
 
     def test_optimal_vertex_round_trip(self):
+        # the 2^k program's optimum and the interval one each encode a channel
+        # that carries their value
         params = privacy_params(1.0)
+        full = full_staircase_lp(4, params)
         lp = build_staircase_lp(4, params)
-        sol = solve_primal(lp)
-        Q = mechanism_from_solution(sol, lp)
-        assert Q.shape[0] <= 4
-        assert verify_ldp(Q, 1.0, tol=1e-9)
-        info = fisher_info_quantized(Q, build_quantized_model(4))
-        assert info == pytest.approx(sol.value, abs=1e-9)
+        for sol, program in ((full_primal(full), full), (solve_primal(lp), lp)):
+            Q = mechanism_from_solution(sol, program)
+            assert Q.shape[0] <= 4
+            assert verify_ldp(Q, 1.0, tol=1e-9)
+            info = fisher_info_quantized(Q, build_quantized_model(4))
+            assert info == pytest.approx(sol.value, abs=1e-9)
 
     def test_zero_weight_columns_absent(self):
         lp = build_staircase_lp(2, privacy_params(1.0))

@@ -46,13 +46,14 @@ print(json.dumps({"after_lp": after_lp, "not_submodules": not_submodules,
 # probability form of the row information that quantized.row_information_many computes
 # in bit form; two duplicates are gone (rr_matrix is embed_sign_channel(params, 2),
 # row_information is one column of the dense form).  The all-numpy simplex and the
-# shift-form word matrix are the references for lp's; lp._column_bits is gone.  No ldpmean
-# module may define any of them.
+# shift-form word matrix are the references for lp's; lp._column_bits is gone.  The program
+# over all 2^k words is the reference for lp's interval program; lp._program_matrix and
+# lp._prefix_basis, which built it in lp, are gone.  No ldpmean module may define any of them.
 ORACLES = ["verify_ldp", "staircase_matrix", "mechanism_from_solution", "certificate_margin",
            "certificate_margin_upper", "certificate_margin_lower", "interior_stationarity",
            "dense_row_information", "fisher_info_quantized", "embed_sign_channel",
-           "simplex_max", "column_bits"]
-DELETED = ["rr_matrix", "row_information", "_column_bits"]
+           "simplex_max", "column_bits", "full_staircase_lp", "prefix_words", "full_primal"]
+DELETED = ["rr_matrix", "row_information", "_column_bits", "_program_matrix", "_prefix_basis"]
 
 
 def _probe():
@@ -107,7 +108,7 @@ BLOCKED_RUN = BLOCKER + """\
 from ldpmean.cli import main
 out = sys.argv[2]
 runs = [["lp-verify", "--k", "8", "--epsilon", "1"],
-        ["fisher", "--epsilon", "1", "--k", "8"],
+        ["fisher", "--epsilon", "1", "--sigma", "2"],
         ["estimate", "--synthetic", "--n", "2000", "--epsilon", "1", "--seed", "3"],
         ["simulate", sys.argv[1] + "/ldpmean/configs/fig1_left.cfg", "--seed", "1",
          "--replicates", "2", "--output", out]]

@@ -1,15 +1,28 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ldpmean.mechanisms import privacy_params
 from ldpmean.numerics import std_normal_pdf, std_normal_quantile
-from ldpmean.quantized import build_quantized_model, row_information_many, sign_fisher_info
+from ldpmean.quantized import (
+    MAX_LEVEL,
+    build_quantized_model,
+    row_information_many,
+    sign_fisher_info,
+)
 from oracles import dense_row_information, embed_sign_channel, fisher_info_quantized
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def sign_rows_information(params, model):
+    """Information of the sign bit's two level-k rows: (1 - t)/2, plus t on the lower or upper half."""
+    t = params.t_eps
+    halves = np.repeat(np.eye(2), model.k // 2, axis=0)
+    return t * t * float(row_information_many(halves, (1.0 - t) / 2.0, t, model).sum())
 
 
 class TestBuildModel:
@@ -106,6 +119,30 @@ class TestRowInformation:
         mirrored = (bits == bits[::-1]).all(axis=0)
         assert mirrored.any() and not bit_form[mirrored].any()
         assert np.allclose(bit_form, dense, rtol=1e-12, atol=1e-30)
+
+    @pytest.mark.parametrize("k", [2, 8, 1024, MAX_LEVEL])
+    def test_sign_rows_keep_their_digits(self, k):
+        # the budget sits in the step t of the sign bit's rows, not in the last bits of p_eps
+        mpmath = pytest.importorskip("mpmath")
+        model = build_quantized_model(k)
+        for eps in (1e-15, 1e-12, 1e-8, 1.0, 40.0, 800.0, math.inf):
+            value = sign_rows_information(privacy_params(eps), model)
+            with mpmath.workdps(50):
+                exact = 2 / mpmath.pi * mpmath.tanh(mpmath.mpf(eps) / 2) ** 2
+                assert abs(mpmath.mpf(value) / exact - 1) <= 1e-13, (eps, value)
+        assert sign_rows_information(privacy_params(0.0), model) == 0.0
+
+    def test_largest_level_in_bounded_memory(self):
+        # the sign bit's rows are (k, 2): a dense k x k channel would be 32 GiB here
+        build_quantized_model.cache_clear()
+        tracemalloc.start()
+        try:
+            value = sign_rows_information(privacy_params(1.0), build_quantized_model(MAX_LEVEL))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(sign_fisher_info(privacy_params(1.0)), abs=1e-12)
+        assert peak < 32 * 2 ** 20
 
     def test_dense_oracle_rejects_a_wrong_level(self):
         with pytest.raises(ValueError, match="expected shape"):
