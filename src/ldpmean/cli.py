@@ -12,14 +12,14 @@ failure, 3 I/O, 4 budget.  All randomness flows from the --seed flag;
 every CSV is itself a valid config file (metadata lives in comments), so
 re-running it with the recorded seed reproduces the CSV byte for byte.
 
-Importing this module and building its parser loads no numpy: a command
-loads the modules it calls when it first calls them (``__getattr__``).
+Importing this module and building its parser loads no numpy and no
+``dataclasses``: a command loads the modules it calls when it first calls
+them (``__getattr__``).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import importlib
 import json
@@ -32,9 +32,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .schema import ESTIMATOR_KINDS, MAX_SOLVE_K, EstimatorConfig
+from .schema import ESTIMATOR_KINDS, MAX_SOLVE_K
 
 if TYPE_CHECKING:
+    from dataclasses import Field
+
     from .sim import ExperimentConfig
 
 EXIT_OK = 0
@@ -51,7 +53,8 @@ _LAZY = {
     "np": "numpy",
     **dict.fromkeys(["BudgetError", "results_to_csv", "run_experiment", "synthetic_sample"],
                     ".sim"),
-    **dict.fromkeys(["estimate", "optimal_asymptotic_variance"], ".estimators"),
+    **dict.fromkeys(["EstimatorConfig", "estimate", "optimal_asymptotic_variance"],
+                    ".estimators"),
     "equality_chain": ".lp",
     "privacy_params": ".mechanisms",
     "sign_fisher_info": ".quantized",
@@ -152,12 +155,12 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def _converter(f: dataclasses.Field):
-    """Parser of one field's text: a config key's, or the ``type`` of an estimate flag."""
+def _converter(f: Field):
+    """Parser of one config key's text, by its field's annotation."""
     return float if f.name == "epsilon" else _CONVERTERS[f.type]
 
 
-def _convert(key: str, f: dataclasses.Field, raw: str):
+def _convert(key: str, f: Field, raw: str):
     try:
         return _converter(f)(raw)
     except ValueError as exc:
@@ -165,12 +168,13 @@ def _convert(key: str, f: dataclasses.Field, raw: str):
 
 
 @functools.cache
-def _config_fields() -> dict[str, dataclasses.Field]:
+def _config_fields() -> dict[str, Field]:
     """Config-file key -> ``sim.ExperimentConfig`` field, built at the first config parse.
 
-    master_seed comes from --seed.  The estimate flags, which the parser
-    needs, come from ``EstimatorConfig`` instead: same types and defaults.
+    master_seed comes from --seed.
     """
+    import dataclasses
+
     from .sim import ExperimentConfig
 
     return {f.metadata.get("key", f.name): f
@@ -180,6 +184,8 @@ def _config_fields() -> dict[str, dataclasses.Field]:
 def experiment_config_from_text(text: str, master_seed: int,
                                 replicates_override: int | None = None) -> ExperimentConfig:
     """Build an ``ExperimentConfig`` from config-file text plus the seed flag."""
+    import dataclasses
+
     from .sim import ExperimentConfig
 
     fields = _config_fields()
@@ -295,6 +301,8 @@ def _load_values(path: str):
 
 
 def _cmd_estimate(args) -> int:
+    import dataclasses
+
     np = _cli.np
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     if args.input is not None:
@@ -312,8 +320,9 @@ def _cmd_estimate(args) -> int:
         raise ValueError("no data values")
     if not np.isfinite(data).all():
         raise ValueError("data values must be finite")
-    cfg = EstimatorConfig(**{f.name: getattr(args, f.name)
-                             for f in dataclasses.fields(EstimatorConfig)})
+    config_class = _cli.EstimatorConfig
+    cfg = config_class(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(config_class)})
     result = _cli.estimate(args.kind, data, cfg, rng)
     if not np.isfinite(result.stage_estimates).all():
         raise ValueError("an estimate overflows float64; sigma or the data are too large")
@@ -355,9 +364,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="estimate from a data file or synthetic draws")
     p.add_argument("--kind", choices=ESTIMATOR_KINDS, default="two")
-    for f in dataclasses.fields(EstimatorConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), type=_converter(f),
-                       required=f.default is dataclasses.MISSING, default=f.default)
+    # estimators.EstimatorConfig's fields in order, with their defaults
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--theta0", type=real, default=0.0)
+    p.add_argument("--n1", type=int, default=None)
+    p.add_argument("--n0", type=int, default=15_000)
+    p.add_argument("--bits", type=int, default=7)
+    p.add_argument("--range-lo", type=real, default=0.0)
+    p.add_argument("--range-hi", type=real, default=128.0)
+    p.add_argument("--sigma", type=real, default=1.0)
     p.add_argument("--seed", type=int, required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="newline-delimited reals")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from ldpmean.estimators import (
+    EstimatorConfig,
     one_stage_asymptotic_variance,
     optimal_asymptotic_variance,
     three_stage,
@@ -29,7 +30,6 @@ from ldpmean.lp import (
 from ldpmean.mechanisms import privacy_params
 from ldpmean.numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
 from ldpmean.quantized import build_quantized_model, sign_fisher_info
-from ldpmean.schema import EstimatorConfig
 from ldpmean.sim import ExperimentConfig, _run_block, results_to_csv, run_experiment
 from oracles import (
     certificate_margin_lower,

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -23,9 +24,9 @@ from ldpmean.cli import (
     main,
     parse_kv,
 )
+from ldpmean.estimators import EstimatorConfig
 from ldpmean.mechanisms import privacy_params
 from ldpmean.quantized import sign_fisher_info
-from ldpmean.schema import EstimatorConfig
 from ldpmean.sim import ExperimentConfig
 
 SMALL_CFG = """\
@@ -669,6 +670,25 @@ class TestEstimate:
                 assert getattr(args, f.name) == f.default, f.name
         sigma, = (f for f in dataclasses.fields(ExperimentConfig) if f.name == "sigma")
         assert args.sigma == sigma.default
+
+    def test_config_flags_are_the_config_fields(self):
+        # the parser declares these flags by hand, so that building it loads no dataclasses
+        sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        actions = sub.choices["estimate"]._actions
+        fields = dataclasses.fields(EstimatorConfig)
+        names = {f.name for f in fields}
+        flags = [a for a in actions if a.dest in names]
+        assert [a.option_strings for a in flags] == [["--" + f.name.replace("_", "-")]
+                                                     for f in fields]
+        assert [a.dest for a in actions if a.dest not in names] == [
+            "help", "kind", "seed", "input", "synthetic", "theta", "n"]
+        for action, f in zip(flags, fields):
+            assert action.type is cli._converter(f), f.name
+            if f.default is dataclasses.MISSING:
+                assert action.required, f.name
+            else:
+                assert not action.required, f.name
+                assert (type(action.default), action.default) == (type(f.default), f.default)
 
     def test_unallocatable_draw_is_budget_error(self, capsys):
         code, out, err = run_cli(capsys, "estimate", "--kind", "one", "--epsilon", "1",

@@ -4,9 +4,10 @@ The package itself exports only ``__version__``, so importing the LP half
 of the paper (``ldpmean.lp``) loads none of the Monte Carlo half.  The
 package runs on numpy and the standard library alone, and only a run with
 more than one worker imports the process pool.  ``import ldpmean.cli`` and
-its parser load no numpy: each command loads the modules it calls, through
-names it looks up on ``ldpmean.cli``.  The reference forms that only the
-tests use have theirs in ``tests/oracles.py``.
+its parser load no numpy and no ``dataclasses`` (whose import loads
+``inspect``): each command loads the modules it calls, through names it
+looks up on ``ldpmean.cli``.  The reference forms that only the tests use
+have theirs in ``tests/oracles.py``.
 """
 
 import json
@@ -149,7 +150,8 @@ PARSE_ONLY = BLOCKER + """\
 import contextlib, io, json
 from ldpmean.cli import build_parser, main
 build_parser()
-numpy_loaded = ["numpy" in sys.modules]
+COLD = ("numpy", "dataclasses", "inspect")
+loaded = [[name for name in COLD if name in sys.modules]]
 runs = []
 for argv in json.loads(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
@@ -159,8 +161,8 @@ for argv in json.loads(sys.argv[2]):
         except SystemExit as exc:  # --version and --help
             code = exc.code
     runs.append([code, out.getvalue(), err.getvalue()])
-numpy_loaded.append("numpy" in sys.modules)
-print(json.dumps({"numpy_loaded": numpy_loaded, "runs": runs}))
+loaded.append([name for name in COLD if name in sys.modules])
+print(json.dumps({"loaded": loaded, "runs": runs}))
 """
 
 
@@ -172,7 +174,7 @@ def _parse_only(argvs, blocked):
 
 
 def test_cli_parses_and_rejects_without_numpy(tmp_path):
-    # every case ends before a command computes, so none needs numpy
+    # every case ends before a command computes, so none needs numpy or dataclasses
     cases = [(["--version"], 0, "ldpmean "), (["--help"], 0, "usage: ldpmean"),
              (["bogus"], 1, "invalid choice: 'bogus'"),
              (["fisher"], 1, "the following arguments are required: --epsilon"),
@@ -187,8 +189,9 @@ def test_cli_parses_and_rejects_without_numpy(tmp_path):
     blocked = _parse_only(argvs, ["numpy"])
     plain = _parse_only(argvs, [])
     assert blocked == plain
-    # numpy importable: a fresh import and build_parser() leave it unloaded, as do the cases
-    assert plain["numpy_loaded"] == [False, False]
+    assert _parse_only(argvs, ["numpy", "dataclasses", "inspect"]) == plain
+    # all importable: a fresh import and build_parser() leave them unloaded, as do the cases
+    assert plain["loaded"] == [[], []]
     for (argv, code, message), (got, out, err) in zip(cases, blocked["runs"]):
         assert got == code, argv
         assert message in out + err, argv

@@ -14,6 +14,7 @@ import pytest
 
 import ldpmean.sim as sim
 from ldpmean.estimators import (
+    EstimatorConfig,
     estimate,
     one_stage,
     one_stage_asymptotic_variance,
@@ -24,7 +25,7 @@ from ldpmean.estimators import (
     two_stage,
 )
 from ldpmean.mechanisms import privacy_params
-from ldpmean.schema import ESTIMATOR_KINDS, EstimatorConfig
+from ldpmean.schema import ESTIMATOR_KINDS
 from ldpmean.sim import (
     BudgetError,
     ExperimentConfig,
