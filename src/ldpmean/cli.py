@@ -79,6 +79,10 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """argparse's exit after --help or --version; ``main`` returns its status."""
+
+
 class ConfigError(Exception):
     """Malformed key-value config content."""
 
@@ -91,6 +95,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # argparse would sys.exit(2); keep code 1
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):  # only --help and --version reach it
+        raise _Exit(status)
 
 
 def _json_ready(obj):
@@ -294,20 +301,17 @@ def _write_atomically(files: list[tuple[Path, str]]) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _load_values(path: str):
-    with open(path) as fh:
-        values = [float(line) for line in fh if line.strip()]
-    return _cli.np.asarray(values)
-
-
 def _cmd_estimate(args) -> int:
     import dataclasses
 
-    np = _cli.np
+    np, config_class = _cli.np, _cli.EstimatorConfig
+    given = {f.name: value for f in dataclasses.fields(config_class)
+             if (value := getattr(args, f.name)) is not None}
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     if args.input is not None:
         try:
-            data = _load_values(args.input)
+            with open(args.input) as fh:
+                data = np.asarray([float(line) for line in fh if line.strip()])
         except OSError as exc:
             print(f"error: cannot read data: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -315,15 +319,13 @@ def _cmd_estimate(args) -> int:
         raise _UsageError(f"--n must be >= 1, got {args.n}")
     else:
         with np.errstate(over="ignore"):  # the finite check below rejects such data
-            data = _cli.synthetic_sample(args.n, args.theta, args.sigma, rng)
+            data = _cli.synthetic_sample(args.n, args.theta,
+                                         given.get("sigma", config_class.sigma), rng)
     if not data.size:
         raise ValueError("no data values")
     if not np.isfinite(data).all():
         raise ValueError("data values must be finite")
-    config_class = _cli.EstimatorConfig
-    cfg = config_class(**{f.name: getattr(args, f.name)
-                          for f in dataclasses.fields(config_class)})
-    result = _cli.estimate(args.kind, data, cfg, rng)
+    result = _cli.estimate(args.kind, data, config_class(**given), rng)
     if not np.isfinite(result.stage_estimates).all():
         raise ValueError("an estimate overflows float64; sigma or the data are too large")
     _emit({
@@ -364,15 +366,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="estimate from a data file or synthetic draws")
     p.add_argument("--kind", choices=ESTIMATOR_KINDS, default="two")
-    # estimators.EstimatorConfig's fields in order, with their defaults
+    # estimators.EstimatorConfig's fields in order; an unset one keeps the config's default
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--theta0", type=real, default=0.0)
-    p.add_argument("--n1", type=int, default=None)
-    p.add_argument("--n0", type=int, default=15_000)
-    p.add_argument("--bits", type=int, default=7)
-    p.add_argument("--range-lo", type=real, default=0.0)
-    p.add_argument("--range-hi", type=real, default=128.0)
-    p.add_argument("--sigma", type=real, default=1.0)
+    for flag, convert in {"--theta0": real, "--n1": int, "--n0": int, "--bits": int,
+                          "--range-lo": real, "--range-hi": real, "--sigma": real}.items():
+        p.add_argument(flag, type=convert)
     p.add_argument("--seed", type=int, required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="newline-delimited reals")
@@ -397,6 +395,8 @@ def main(argv=None) -> int:
         if getattr(args, "synthetic", False) and args.n is None:
             raise _UsageError("--synthetic requires --n")
         return args.func(args)
+    except _Exit as exc:
+        return exc.args[0]
     except (_UsageError, ConfigError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,6 +29,8 @@ from .numerics import SQRT_2PI, std_normal_cdf, std_normal_quantile
 from .quantized import sign_fisher_info
 from .schema import ESTIMATOR_KINDS
 
+_PIECE = 2 ** 14  # uniforms drawn at a time before their keep tests
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -188,12 +190,19 @@ def released_bits(kind: str, n: int, config: EstimatorConfig) -> int:
     return stages[-1][1].stop
 
 
+def draw_keep_bits(rng: np.random.Generator, p_eps: float, keep, scratch) -> None:
+    """Fill bool row ``keep`` with u < p_eps of its uniforms u, drawn in turn into ``scratch``."""
+    for a in range(0, keep.size, scratch.size):
+        np.less(rng.random(out=scratch[:keep.size - a]), p_eps, out=keep[a:a + scratch.size])
+
+
 def estimate(kind: str, data, config: EstimatorConfig,
              rng: np.random.Generator) -> EstimateResult:
-    """Run the ``kind`` estimator on ``data`` as one row; nothing is drawn before its checks."""
+    """Run the ``kind`` estimator on ``data`` as one row; its checks precede ``draw_keep_bits``."""
     x = np.asarray(data, dtype=float).reshape(1, -1)
     m, p_eps = released_bits(kind, x.shape[1], config), privacy_params(config.epsilon).p_eps
-    keep = rng.random((1, m)) < p_eps
+    keep = np.empty((1, m), dtype=bool)
+    draw_keep_bits(rng, p_eps, keep[0], np.empty(min(m, _PIECE)))
     estimates, clamped = ([stage[0] for stage in part] for part in stage_rows(kind, x, keep, config))
     return EstimateResult(estimates[-1], tuple(estimates), tuple(clamped))
 

@@ -12,7 +12,7 @@ however replicate spans and bootstraps are scheduled across workers.  A
 span of replicates starts from numpy's SeedSequence pool for spawn_key
 (s, 0), hashes only r itself and re-seeds one generator in place.  A
 replicate's stream is its n normals, then the uniforms its estimator
-reads; each uniform is kept only as its randomized-response keep bit.  One
+reads, each kept only as its keep bit (``estimators.draw_keep_bits``).  One
 stage loop, ``estimators.stage_rows``, runs a block of replicates of any
 kind at once, each on its own stream; ``estimators.layout`` checks the
 kind and its layout at every sweep point before any work.
@@ -31,7 +31,9 @@ from functools import partial
 import numpy as np
 
 from .estimators import (
+    _PIECE,
     EstimatorConfig,
+    draw_keep_bits,
     layout,
     one_stage_asymptotic_variance,
     optimal_asymptotic_variance,
@@ -44,7 +46,6 @@ from .mechanisms import privacy_params
 
 SWEEP_NAMES = ("n1", "theta0", "n")
 _BLOCK_ELEMS = 2 ** 16  # samples per replicate block, and indices per bootstrap block
-_PIECE = 2 ** 14  # uniforms a replicate draws at a time before their keep tests
 _STAGE_REACH = 77.0  # sigmas two stages can move an estimate from its first center
 
 # numpy's SeedSequence hash and PCG64 seeding, for _replicate_states
@@ -263,39 +264,28 @@ def _run_block(config: ExperimentConfig, sweep_index: int,
     """Run replicates [r_lo, r_hi) of one sweep point; returns errors and clamp flags.
 
     One generator, re-seeded in place, draws each replicate's n normals into a
-    row of ``x``, then the m = ``released_bits`` uniforms its estimator reads,
-    of which a row of ``keep`` stores only the keep tests u < p_eps.  The
-    uniforms pass through a float scratch of at most ``_PIECE`` per row: a
-    longer row tests each full piece as it is drawn, and the rows' last pieces
-    (whole rows when m <= ``_PIECE``) are tested with one ``np.less`` per
-    block.  A block of rows runs through ``stage_rows``.
+    row of ``x``, then its m = ``released_bits`` keep bits into a row of
+    ``keep`` (``draw_keep_bits``).  A block of rows runs through ``stage_rows``.
     """
     n, theta_n, est_cfg = _point_setup(config, config.sweep_values[sweep_index])
     m, p_eps = released_bits(config.kind, n, est_cfg), privacy_params(config.epsilon).p_eps
-    full = (m - 1) // _PIECE * _PIECE  # tested piece by piece; 1 to _PIECE uniforms remain
-    pieces = range(0, full, _PIECE)
     reps = r_hi - r_lo
     rows = max(1, min(reps, _BLOCK_ELEMS // n))  # no more rows than the span has replicates
     errors = np.empty(reps)
     clamps = np.empty(reps, dtype=bool)
     x = np.empty((rows, n))  # a replicate per row
     keep = np.empty((rows, m), dtype=bool)
-    scratch = np.empty((rows, min(m, _PIECE)))
-    # each row's float scratch, the part of it the row's last piece fills, its keep bits
-    row_bufs = list(zip(scratch, scratch[:, :m - full], keep))
+    scratch = np.empty(min(m, _PIECE))
     bitgen = np.random.PCG64(0)
     rng = np.random.default_rng(bitgen)
     states = _replicate_states(config.master_seed, sweep_index, r_lo, r_hi)
     for lo in range(0, reps, rows):
         k = min(rows, reps - lo)  # the last block may hold fewer rows
         # states last: zip stops at the rows without taking the next block's state
-        for x_row, (u_row, last, keep_row), state in zip(x[:k], row_bufs, states):
+        for x_row, keep_row, state in zip(x[:k], keep, states):
             bitgen.state = state
             rng.standard_normal(out=x_row)
-            for a in pieces:
-                np.less(rng.random(out=u_row), p_eps, out=keep_row[a:a + _PIECE])
-            rng.random(out=last)
-        np.less(scratch[:k, :m - full], p_eps, out=keep[:k, full:])
+            draw_keep_bits(rng, p_eps, keep_row, scratch)
         _to_data_units(x[:k], theta_n, config.sigma)
         estimates, clamped = stage_rows(config.kind, x[:k], keep[:k], est_cfg)
         errors[lo:lo + rows] = np.subtract(estimates[-1], theta_n)

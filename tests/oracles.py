@@ -20,6 +20,9 @@ No command runs these, so they live beside the tests rather than in
   program over all 2^k words, its starting basis and its optimum, the
   reference that the interval program of ``lp.build_staircase_lp`` is
   checked against.
+* ``interval_partition_optimum``: the interval program's optimum from
+  total unimodularity, the best partition of the k cells into intervals,
+  an independent reference for ``lp.solve_primal``'s value.
 * ``certificate_margin`` with its ``_upper`` and ``_lower`` boundary forms,
   and ``interior_stationarity``: the closed-form margins whose grid
   nonnegativity proves the dual certificate feasible for eps <= 1.048.
@@ -209,6 +212,31 @@ def full_primal(lp: StaircaseLp) -> PrimalSolution:
     x, _, pivots = simplex_max(lp.program, np.eye(k + 1)[k], np.append(lp.unit, 0.0),
                                prefix_words(k))
     return PrimalSolution(alpha=x[:n], value=float(lp.mu_vec @ x[:n]), pivots=pivots)
+
+
+def interval_partition_optimum(k: int, params: PrivacyParams) -> float:
+    """Optimum of the interval program, max(0, max_P sum_(I in P) mu_I / (|P| + s)).
+
+    P runs over the partitions of the k cells into intervals, s = expm1(eps) and
+    mu_I = s^2 k (sum_(i in I) y_i)^2 / (k + s |I|) is the information of the
+    interval's column.  Every cell of S alpha = 1 is covered by the same weight w
+    = (1 - 1 . alpha) / s, so alpha / w is an exact fractional cover of the cells
+    by intervals and the value is linear-fractional in it; interval columns are
+    totally unimodular, so the optimum sits at an integral cover, a partition, with
+    w = 1 / (|P| + s), or at alpha = e_0 with value 0.  best[p][j] is the largest
+    sum of mu over partitions of cells [0, j) into p intervals: O(k^3).
+    """
+    s = math.expm1(params.epsilon)
+    y = build_quantized_model(k).y.tolist()
+
+    def mu(a, b):
+        return s * s * k * math.fsum(y[a:b]) ** 2 / (k + s * (b - a))
+
+    best = [[0.0] + [-math.inf] * k]
+    for p in range(1, k + 1):
+        best.append([max((best[p - 1][a] + mu(a, j) for a in range(p - 1, j)), default=-math.inf)
+                     for j in range(k + 1)])
+    return max(0.0, max(best[p][k] / (p + s) for p in range(1, k + 1)))
 
 
 def certificate_margin(a1, a2, x, y, t):

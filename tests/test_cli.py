@@ -27,7 +27,6 @@ from ldpmean.cli import (
 from ldpmean.estimators import EstimatorConfig
 from ldpmean.mechanisms import privacy_params
 from ldpmean.quantized import sign_fisher_info
-from ldpmean.sim import ExperimentConfig
 
 SMALL_CFG = """\
 # lab-scale two-stage sweep
@@ -662,14 +661,24 @@ class TestEstimate:
         assert err == "usage error: data values must be finite\n"
         assert out == ""
 
-    def test_defaults_are_the_config_defaults(self):
+    def test_defaults_are_the_config_defaults(self, capsys, monkeypatch):
+        # unset config flags parse to None, and the estimate gets the config's own defaults
         args = build_parser().parse_args(["estimate", "--epsilon", "1", "--seed", "1",
                                           "--synthetic"])
-        for f in dataclasses.fields(EstimatorConfig):
-            if f.default is not dataclasses.MISSING:
-                assert getattr(args, f.name) == f.default, f.name
-        sigma, = (f for f in dataclasses.fields(ExperimentConfig) if f.name == "sigma")
-        assert args.sigma == sigma.default
+        assert [getattr(args, f.name) for f in dataclasses.fields(EstimatorConfig)] == [
+            1.0, None, None, None, None, None, None, None]
+        configs, estimate = [], cli.estimate
+
+        def recording_estimate(kind, data, cfg, rng):
+            configs.append(cfg)
+            return estimate(kind, data, cfg, rng)
+
+        monkeypatch.setattr(cli, "estimate", recording_estimate)
+        common = ("estimate", "--epsilon", "1", "--seed", "1", "--synthetic", "--n", "900")
+        assert run_cli(capsys, *common)[0] == EXIT_OK
+        assert run_cli(capsys, *common, "--n1", "30", "--sigma", "2")[0] == EXIT_OK
+        assert configs == [EstimatorConfig(epsilon=1.0),
+                           EstimatorConfig(epsilon=1.0, n1=30, sigma=2.0)]
 
     def test_config_flags_are_the_config_fields(self):
         # the parser declares these flags by hand, so that building it loads no dataclasses
@@ -684,11 +693,9 @@ class TestEstimate:
             "help", "kind", "seed", "input", "synthetic", "theta", "n"]
         for action, f in zip(flags, fields):
             assert action.type is cli._converter(f), f.name
-            if f.default is dataclasses.MISSING:
-                assert action.required, f.name
-            else:
-                assert not action.required, f.name
-                assert (type(action.default), action.default) == (type(f.default), f.default)
+            # a flag is required exactly where its field has no default; unset, it is None
+            assert action.required is (f.default is dataclasses.MISSING), f.name
+            assert action.default is None, f.name
 
     def test_unallocatable_draw_is_budget_error(self, capsys):
         code, out, err = run_cli(capsys, "estimate", "--kind", "one", "--epsilon", "1",

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,12 +35,10 @@ class CountingRng:
         self._rng = np.random.default_rng(seed)
         self.uniforms = 0
 
-    def random(self, shape=None):
-        if shape is not None:
-            self.uniforms += int(np.prod(shape))
-        else:
-            self.uniforms += 1
-        return self._rng.random(shape)
+    def random(self, shape=None, *, out=None):
+        drawn = self._rng.random(shape, out=out)
+        self.uniforms += int(np.size(drawn))
+        return drawn
 
 
 class TestInvertMean:
@@ -548,6 +547,33 @@ class TestPrivacyAudit:
     @pytest.mark.parametrize("eps", [0.5, 1.0])
     def test_channel_is_epsilon_valid(self, eps):
         assert verify_ldp(embed_sign_channel(privacy_params(eps), 2), eps)
+
+
+class TestKeepBitMemory:
+    """``estimate`` keeps each uniform only as its keep bit, drawn as one stream."""
+
+    CONFIGS = {"one": EstimatorConfig(epsilon=1.0), "two": EstimatorConfig(epsilon=1.0),
+               "three": EstimatorConfig(epsilon=1.0, n0=700, range_hi=8.0)}
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_estimate_keeps_one_byte_per_uniform(self, kind):
+        # the keep bits (n), one sign test (at most n) and one float piece of 2**14
+        # uniforms; all m uniforms drawn as floats would take another 8 n
+        n, cfg = 2 ** 17, self.CONFIGS[kind]
+        data = np.random.default_rng(11).standard_normal(n) + 0.5
+        tracemalloc.start()
+        try:
+            result = estimate(kind, data, cfg, np.random.default_rng(12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n + 2 ** 14 * 8
+        # the same estimate from the keep tests of one draw of all m uniforms
+        keep = np.random.default_rng(12).random((1, released_bits(kind, n, cfg))) < \
+            privacy_params(cfg.epsilon).p_eps
+        estimates, clamped = stage_rows(kind, data.reshape(1, -1), keep, cfg)
+        assert result.stage_estimates == tuple(stage[0] for stage in estimates)
+        assert result.clamped == tuple(stage[0] for stage in clamped)
 
 
 class TestRescaledEstimate:

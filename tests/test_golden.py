@@ -127,10 +127,9 @@ def test_pool_sweep_bytes(tmp_path):
 @pytest.mark.parametrize("sub", sorted(HELP_GOLDEN), ids=lambda sub: " ".join(sub) or "ldpmean")
 def test_help_bytes(sub, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal width
-    with pytest.raises(SystemExit) as exc:
-        main([*sub, "--help"])
+    code = main([*sub, "--help"])
     out = capsys.readouterr().out
-    assert exc.value.code == EXIT_OK
+    assert code == EXIT_OK
     assert sha256(out.encode()) == HELP_GOLDEN[sub], out
 
 

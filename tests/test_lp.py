@@ -31,6 +31,7 @@ from oracles import (
     full_primal,
     full_staircase_lp,
     interior_stationarity,
+    interval_partition_optimum,
     mechanism_from_solution,
     prefix_words,
     simplex_max,
@@ -390,6 +391,23 @@ class TestSimplexOracle:
         assert np.array_equal(x, x_ref)
         assert value == value_ref
         assert pivots == pivots_ref
+
+
+class TestIntervalPartitionOracle:
+    """The simplex's optimum is the best interval partition's value (total unimodularity)."""
+
+    @pytest.mark.parametrize("k", range(2, MAX_SOLVE_K + 1, 2))
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 1.5, 1.9, 2.0, 2.05, 2.5, 3.0, 5.0, 10.0])
+    def test_simplex_value_is_the_partition_optimum(self, k, eps):
+        params = privacy_params(eps)
+        value = solve_primal(build_staircase_lp(k, params)).value
+        assert value == pytest.approx(interval_partition_optimum(k, params), rel=1e-12, abs=0)
+
+    def test_sign_bit_is_the_half_split(self):
+        # the two-interval partition is the sign bit: its value is the candidate's
+        params = privacy_params(1.0)
+        assert interval_partition_optimum(2, params) == pytest.approx(
+            sign_fisher_info(params), rel=1e-14)
 
 
 class TestSignCandidate:

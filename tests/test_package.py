@@ -53,7 +53,8 @@ print(json.dumps({"after_lp": after_lp, "not_submodules": not_submodules,
 ORACLES = ["verify_ldp", "staircase_matrix", "mechanism_from_solution", "certificate_margin",
            "certificate_margin_upper", "certificate_margin_lower", "interior_stationarity",
            "dense_row_information", "fisher_info_quantized", "embed_sign_channel",
-           "simplex_max", "column_bits", "full_staircase_lp", "prefix_words", "full_primal"]
+           "simplex_max", "column_bits", "full_staircase_lp", "prefix_words", "full_primal",
+           "interval_partition_optimum"]
 DELETED = ["rr_matrix", "row_information", "_column_bits", "_program_matrix", "_prefix_basis"]
 
 
@@ -156,10 +157,7 @@ runs = []
 for argv in json.loads(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # --version and --help
-            code = exc.code
+        code = main(argv)
     runs.append([code, out.getvalue(), err.getvalue()])
 loaded.append([name for name in COLD if name in sys.modules])
 print(json.dumps({"loaded": loaded, "runs": runs}))
