@@ -8,9 +8,10 @@ Subcommands:
 
 Exit codes are a stable contract: 0 success, 1 usage, 2 verification
 failure, 3 I/O, 4 budget.  All randomness flows from the --seed flag;
-``simulate`` refuses to run without one.  The manifest written next to
-every CSV is itself a valid config file (metadata lives in comments), so
-re-running it with the recorded seed reproduces the CSV byte for byte.
+``simulate`` refuses to run without one.  ``simulate`` reads and writes
+the config file format of ``sim``: the manifest written next to every CSV
+is itself a valid config file (metadata lives in comments), so re-running
+it with the recorded seed reproduces the CSV byte for byte.
 
 Importing this module and building its parser loads no numpy and no
 ``dataclasses``: a command loads the modules it calls when it first calls
@@ -29,15 +30,9 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
-from .schema import ESTIMATOR_KINDS, MAX_SOLVE_K
-
-if TYPE_CHECKING:
-    from dataclasses import Field
-
-    from .sim import ExperimentConfig
+from .schema import ESTIMATOR_KINDS, MAX_SOLVE_K, real
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,8 +46,8 @@ EXIT_BUDGET = 4
 # rebound here (perfbench/layertrace.py, the tests) is the one that runs.
 _LAZY = {
     "np": "numpy",
-    **dict.fromkeys(["BudgetError", "results_to_csv", "run_experiment", "synthetic_sample"],
-                    ".sim"),
+    **dict.fromkeys(["BudgetError", "experiment_config_from_text", "manifest_text",
+                     "results_to_csv", "run_experiment", "synthetic_sample"], ".sim"),
     **dict.fromkeys(["EstimatorConfig", "estimate", "optimal_asymptotic_variance"],
                     ".estimators"),
     "equality_chain": ".lp",
@@ -83,10 +78,6 @@ class _Exit(Exception):
     """argparse's exit after --help or --version; ``main`` returns its status."""
 
 
-class ConfigError(Exception):
-    """Malformed key-value config content."""
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -113,122 +104,6 @@ def _json_ready(obj):
 
 def _emit(payload: dict) -> None:
     print(json.dumps(_json_ready(payload), indent=2), flush=True)  # a closed pipe raises here
-
-
-# --- config file handling ---------------------------------------------------
-
-def real(raw: str) -> float:
-    """float() that refuses NaN and +-inf.
-
-    Every config float, every float flag of ``estimate`` and ``fisher
-    --sigma`` go through here, but no epsilon: epsilon = inf is the
-    noiseless channel, and ``privacy_params`` rejects a NaN or negative
-    budget.
-    """
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {raw!r}")
-    return value
-
-
-def _real_list(raw: str) -> tuple[float, ...]:
-    values = tuple(real(tok) for tok in raw.split(",") if tok.strip())
-    if not values:
-        raise ValueError("empty list")
-    return values
-
-
-# Keyed by the annotation text (annotations are postponed, hence strings).
-_CONVERTERS = {"str": str, "int": int, "int | None": int, "float": real,
-               "tuple[float, ...]": _real_list}
-
-
-def parse_kv(text: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise ConfigError(f"line {lineno}: empty key or value")
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
-
-
-def _converter(f: Field):
-    """Parser of one config key's text, by its field's annotation."""
-    return float if f.name == "epsilon" else _CONVERTERS[f.type]
-
-
-def _convert(key: str, f: Field, raw: str):
-    try:
-        return _converter(f)(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
-
-
-@functools.cache
-def _config_fields() -> dict[str, Field]:
-    """Config-file key -> ``sim.ExperimentConfig`` field, built at the first config parse.
-
-    master_seed comes from --seed.
-    """
-    import dataclasses
-
-    from .sim import ExperimentConfig
-
-    return {f.metadata.get("key", f.name): f
-            for f in dataclasses.fields(ExperimentConfig) if f.name != "master_seed"}
-
-
-def experiment_config_from_text(text: str, master_seed: int,
-                                replicates_override: int | None = None) -> ExperimentConfig:
-    """Build an ``ExperimentConfig`` from config-file text plus the seed flag."""
-    import dataclasses
-
-    from .sim import ExperimentConfig
-
-    fields = _config_fields()
-    raw = parse_kv(text)
-    unknown = set(raw) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = [key for key, f in fields.items()
-               if f.default is dataclasses.MISSING and key not in raw]
-    if missing:
-        raise ConfigError(f"missing required config keys: {missing}")
-    values = {fields[k].name: _convert(k, fields[k], v) for k, v in raw.items()}
-    if replicates_override is not None:
-        values["replicates"] = replicates_override
-    return ExperimentConfig(master_seed=master_seed, **values)
-
-
-def manifest_text(config: ExperimentConfig, output_path: str) -> str:
-    """Render the run manifest; the non-comment lines re-parse as a config.
-
-    Keys follow the field order of ``ExperimentConfig``; an unset n1 is
-    left out.
-    """
-    lines = [
-        f"# manifest written by ldpmean {__version__}",
-        "# subcommand = simulate",
-        f"# master_seed = {config.master_seed}",
-        f"# output_csv = {output_path}",
-    ]
-    for key, f in _config_fields().items():
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(map(str, value))
-        if value is not None:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 # --- subcommands ------------------------------------------------------------
@@ -261,8 +136,8 @@ def _cmd_simulate(args) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    config = experiment_config_from_text(text, master_seed=args.seed,
-                                         replicates_override=args.replicates)
+    config = _cli.experiment_config_from_text(text, master_seed=args.seed,
+                                              replicates_override=args.replicates)
     out = Path(args.output)
     manifest = Path(f"{out}.manifest")
     if not out.parent.is_dir() or out.is_dir() or manifest.is_dir():
@@ -275,7 +150,7 @@ def _cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     try:
-        _write_atomically([(manifest, manifest_text(config, str(out))),
+        _write_atomically([(manifest, _cli.manifest_text(config, str(out))),
                            (out, _cli.results_to_csv(results, config.sweep_name))])
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
@@ -302,6 +177,8 @@ def _write_atomically(files: list[tuple[Path, str]]) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    if args.seed < 0:  # numpy's SeedSequence would reject it without naming the flag
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     import dataclasses
 
     np, config_class = _cli.np, _cli.EstimatorConfig
@@ -397,7 +274,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _Exit as exc:
         return exc.args[0]
-    except (_UsageError, ConfigError, ValueError) as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # a draw too large to allocate

@@ -16,6 +16,12 @@ reads, each kept only as its keep bit (``estimators.draw_keep_bits``).  One
 stage loop, ``estimators.stage_rows``, runs a block of replicates of any
 kind at once, each on its own stream; ``estimators.layout`` checks the
 kind and its layout at every sweep point before any work.
+
+The config file format lives here too, beside ``ExperimentConfig``, whose
+fields fix its keys, their order and their types: ``parse_kv`` reads the
+flat ``key = value`` lines, ``experiment_config_from_text`` builds the
+config and ``manifest_text`` renders a run's manifest, which re-parses as
+its config.
 """
 
 from __future__ import annotations
@@ -25,11 +31,12 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, Field, dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
+from . import __version__
 from .estimators import (
     _PIECE,
     EstimatorConfig,
@@ -43,6 +50,7 @@ from .estimators import (
 # Not called here: perfbench/layertrace.py rebinds these four names of sim.
 from .estimators import one_stage, rescaled_estimate, three_stage, two_stage  # noqa: F401
 from .mechanisms import privacy_params
+from .schema import real
 
 SWEEP_NAMES = ("n1", "theta0", "n")
 _BLOCK_ELEMS = 2 ** 16  # samples per replicate block, and indices per bootstrap block
@@ -98,6 +106,94 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...]
     max_total_draws: int = 20_000_000_000
     master_seed: int
+
+
+# --- config file format ------------------------------------------------------
+
+# Config-file key -> ExperimentConfig field; master_seed comes from --seed.
+_CONFIG_FIELDS = {f.metadata.get("key", f.name): f
+                  for f in fields(ExperimentConfig) if f.name != "master_seed"}
+
+
+def _real_list(raw: str) -> tuple[float, ...]:
+    values = tuple(real(tok) for tok in raw.split(",") if tok.strip())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+# Keyed by the annotation text (annotations are postponed, hence strings).
+_CONVERTERS = {"str": str, "int": int, "int | None": int, "float": real,
+               "tuple[float, ...]": _real_list}
+
+
+def parse_kv(text: str) -> dict[str, str]:
+    """Parse flat ``key = value`` lines; '#' starts a comment."""
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key or not value:
+            raise ValueError(f"line {lineno}: empty key or value")
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
+def _converter(f: Field):
+    """Parser of one config key's text, by its field's annotation."""
+    return float if f.name == "epsilon" else _CONVERTERS[f.type]
+
+
+def _convert(key: str, raw: str):
+    try:
+        return _converter(_CONFIG_FIELDS[key])(raw)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key!r}: {raw!r} ({exc})") from None
+
+
+def experiment_config_from_text(text: str, master_seed: int,
+                                replicates_override: int | None = None) -> ExperimentConfig:
+    """Build an ``ExperimentConfig`` from config-file text plus the seed flag."""
+    raw = parse_kv(text)
+    unknown = set(raw) - set(_CONFIG_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    missing = [key for key, f in _CONFIG_FIELDS.items()
+               if f.default is MISSING and key not in raw]
+    if missing:
+        raise ValueError(f"missing required config keys: {missing}")
+    values = {_CONFIG_FIELDS[k].name: _convert(k, v) for k, v in raw.items()}
+    if replicates_override is not None:
+        values["replicates"] = replicates_override
+    return ExperimentConfig(master_seed=master_seed, **values)
+
+
+def manifest_text(config: ExperimentConfig, output_path: str) -> str:
+    """Render the run manifest; the non-comment lines re-parse as a config.
+
+    Keys follow the field order of ``ExperimentConfig``; an unset n1 is
+    left out.
+    """
+    lines = [
+        f"# manifest written by ldpmean {__version__}",
+        "# subcommand = simulate",
+        f"# master_seed = {config.master_seed}",
+        f"# output_csv = {output_path}",
+    ]
+    for key, f in _CONFIG_FIELDS.items():
+        value = getattr(config, f.name)
+        if isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

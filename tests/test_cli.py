@@ -20,13 +20,12 @@ from ldpmean.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     build_parser,
-    experiment_config_from_text,
     main,
-    parse_kv,
 )
 from ldpmean.estimators import EstimatorConfig
 from ldpmean.mechanisms import privacy_params
 from ldpmean.quantized import sign_fisher_info
+from ldpmean.sim import experiment_config_from_text, parse_kv
 
 SMALL_CFG = """\
 # lab-scale two-stage sweep
@@ -266,16 +265,20 @@ class TestConfigParsing:
         assert config.replicates == 10
 
     def test_malformed_lines(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="line 1: expected 'key = value'"):
             parse_kv("kind two\n")
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="line 2: duplicate key 'kind'"):
             parse_kv("kind = two\nkind = one\n")
 
     def test_unknown_and_missing_keys(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match=r"unknown config keys: \['bogus'\]"):
             experiment_config_from_text(SMALL_CFG + "bogus = 1\n", master_seed=5)
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="missing required config keys: "):
             experiment_config_from_text("kind = two\n", master_seed=5)
+
+    def test_bad_value_names_its_key(self):
+        with pytest.raises(ValueError, match="bad value for 'n': '1.5'"):
+            experiment_config_from_text(SMALL_CFG.replace("n = 1500", "n = 1.5"), master_seed=5)
 
     def test_infinite_epsilon_accepted(self):
         text = SMALL_CFG.replace("epsilon = 1.0", "epsilon = inf")
@@ -692,7 +695,7 @@ class TestEstimate:
         assert [a.dest for a in actions if a.dest not in names] == [
             "help", "kind", "seed", "input", "synthetic", "theta", "n"]
         for action, f in zip(flags, fields):
-            assert action.type is cli._converter(f), f.name
+            assert action.type is sim._converter(f), f.name
             # a flag is required exactly where its field has no default; unset, it is None
             assert action.required is (f.default is dataclasses.MISSING), f.name
             assert action.default is None, f.name
@@ -775,6 +778,17 @@ class TestEstimate:
                                  "--synthetic", "--n", n)
         assert_one_line_usage_error(code, err)
         assert "--n must be >= 1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("synthetic", [True, False])
+    def test_negative_seed_names_the_flag(self, tmp_path, monkeypatch, capsys, synthetic):
+        # rejected before any draw, and before the (absent) data file is read
+        monkeypatch.setattr(cli, "synthetic_sample", _no_work)
+        source = ("--synthetic", "--n", "10") if synthetic else (
+            "--input", str(tmp_path / "absent.txt"))
+        code, out, err = run_cli(capsys, "estimate", "--epsilon", "1", "--seed", "-1", *source)
+        assert_one_line_usage_error(code, err)
+        assert err == "usage error: --seed must be >= 0, got -1\n"
         assert out == ""
 
     def test_tiny_sigma_far_from_zero_is_finite(self, capsys):
