@@ -7,7 +7,10 @@ Subcommands:
     estimate   run one estimator on file or synthetic data, print JSON
 
 Exit codes are a stable contract: 0 success, 1 usage, 2 verification
-failure, 3 I/O, 4 budget.  All randomness flows from the --seed flag;
+failure, 3 I/O, 4 budget.  A command parses, calls and prints its result,
+and returns 0 or 2; ``main`` alone turns a failure into its code and one
+line on stderr: a ValueError into 1, an OSError into 3, a ``BudgetError``
+or a MemoryError into 4.  All randomness flows from the --seed flag;
 ``simulate`` refuses to run without one.  ``simulate`` reads and writes
 the config file format of ``sim``: the manifest written next to every CSV
 is itself a valid config file (metadata lives in comments), so re-running
@@ -32,7 +35,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .schema import ESTIMATOR_KINDS, MAX_SOLVE_K, real
+from .schema import ESTIMATOR_KINDS, MAX_SOLVE_K, BudgetError, real
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,8 +49,8 @@ EXIT_BUDGET = 4
 # rebound here (perfbench/layertrace.py, the tests) is the one that runs.
 _LAZY = {
     "np": "numpy",
-    **dict.fromkeys(["BudgetError", "experiment_config_from_text", "manifest_text",
-                     "results_to_csv", "run_experiment", "synthetic_sample"], ".sim"),
+    **dict.fromkeys(["experiment_config_from_text", "manifest_text", "results_to_csv",
+                     "run_experiment", "synthetic_sample"], ".sim"),
     **dict.fromkeys(["EstimatorConfig", "estimate", "optimal_asymptotic_variance"],
                     ".estimators"),
     "equality_chain": ".lp",
@@ -70,10 +73,6 @@ _cli = sys.modules[__name__]
 _NEGATIVE_NUMBER = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)\Z", re.I)
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Exit(Exception):
     """argparse's exit after --help or --version; ``main`` returns its status."""
 
@@ -85,7 +84,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):  # argparse would sys.exit(2); keep code 1
-        raise _UsageError(message)
+        raise ValueError(message)
 
     def exit(self, status=0, message=None):  # only --help and --version reach it
         raise _Exit(status)
@@ -103,7 +102,12 @@ def _json_ready(obj):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(_json_ready(payload), indent=2), flush=True)  # a closed pipe raises here
+    try:
+        print(json.dumps(_json_ready(payload), indent=2), flush=True)
+    except OSError as exc:  # a closed pipe or a full device; keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise OSError("standard output was closed" if isinstance(exc, BrokenPipeError)
+                      else f"cannot write standard output: {exc}") from None
 
 
 # --- subcommands ------------------------------------------------------------
@@ -129,32 +133,24 @@ def _cmd_lp_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if len(args.output.splitlines()) > 1:  # the manifest records the path on one line
-        raise _UsageError(f"--output must be one line, got {args.output!r}")
-    path = Path(args.config)
+        raise ValueError(f"--output must be one line, got {args.output!r}")
     try:
-        text = path.read_text()
+        text = Path(args.config).read_text()
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise OSError(f"cannot read config: {exc}") from None
     config = _cli.experiment_config_from_text(text, master_seed=args.seed,
                                               replicates_override=args.replicates)
     out = Path(args.output)
     manifest = Path(f"{out}.manifest")
     if not out.parent.is_dir() or out.is_dir() or manifest.is_dir():
-        print(f"error: cannot write output {out}: its directory is missing, "
-              "or it or its manifest is a directory", file=sys.stderr)
-        return EXIT_IO
-    try:
-        results = _cli.run_experiment(config, workers=args.workers)
-    except _cli.BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        raise OSError(f"cannot write output {out}: its directory is missing, "
+                      "or it or its manifest is a directory")
+    results = _cli.run_experiment(config, workers=args.workers)
     try:
         _write_atomically([(manifest, _cli.manifest_text(config, str(out))),
                            (out, _cli.results_to_csv(results, config.sweep_name))])
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise OSError(f"cannot write output: {exc}") from None
     return EXIT_OK
 
 
@@ -177,34 +173,26 @@ def _write_atomically(files: list[tuple[Path, str]]) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    if args.synthetic and args.n is None:
+        raise ValueError("--synthetic requires --n")
     if args.seed < 0:  # numpy's SeedSequence would reject it without naming the flag
-        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
-    import dataclasses
-
-    np, config_class = _cli.np, _cli.EstimatorConfig
-    given = {f.name: value for f in dataclasses.fields(config_class)
-             if (value := getattr(args, f.name)) is not None}
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    np = _cli.np
+    config = _cli.EstimatorConfig(**{name: value for name in _CONFIG_FLAGS
+                                     if (value := getattr(args, name)) is not None})
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     if args.input is not None:
         try:
             with open(args.input) as fh:
-                data = np.asarray([float(line) for line in fh if line.strip()])
+                data = [float(line) for line in fh if line.strip()]
         except OSError as exc:
-            print(f"error: cannot read data: {exc}", file=sys.stderr)
-            return EXIT_IO
+            raise OSError(f"cannot read data: {exc}") from None
     elif args.n < 1:
-        raise _UsageError(f"--n must be >= 1, got {args.n}")
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     else:
-        with np.errstate(over="ignore"):  # the finite check below rejects such data
-            data = _cli.synthetic_sample(args.n, args.theta,
-                                         given.get("sigma", config_class.sigma), rng)
-    if not data.size:
-        raise ValueError("no data values")
-    if not np.isfinite(data).all():
-        raise ValueError("data values must be finite")
-    result = _cli.estimate(args.kind, data, config_class(**given), rng)
-    if not np.isfinite(result.stage_estimates).all():
-        raise ValueError("an estimate overflows float64; sigma or the data are too large")
+        with np.errstate(over="ignore"):  # estimate rejects such data as non-finite
+            data = _cli.synthetic_sample(args.n, args.theta, config.sigma, rng)
+    result = _cli.estimate(args.kind, data, config, rng)
     _emit({
         "theta_hat": result.theta_hat,
         "stages": list(result.stage_estimates),
@@ -214,6 +202,12 @@ def _cmd_estimate(args) -> int:
 
 
 # --- argument wiring --------------------------------------------------------
+
+# estimators.EstimatorConfig's fields in order, each with its flag's converter; an
+# unset flag parses to None and leaves the config's default
+_CONFIG_FLAGS = {"epsilon": float, "theta0": real, "n1": int, "n0": int, "bits": int,
+                 "range_lo": real, "range_hi": real, "sigma": real}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ldpmean",
@@ -243,11 +237,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="estimate from a data file or synthetic draws")
     p.add_argument("--kind", choices=ESTIMATOR_KINDS, default="two")
-    # estimators.EstimatorConfig's fields in order; an unset one keeps the config's default
-    p.add_argument("--epsilon", type=float, required=True)
-    for flag, convert in {"--theta0": real, "--n1": int, "--n0": int, "--bits": int,
-                          "--range-lo": real, "--range-hi": real, "--sigma": real}.items():
-        p.add_argument(flag, type=convert)
+    for name, convert in _CONFIG_FLAGS.items():  # epsilon alone has no default
+        p.add_argument("--" + name.replace("_", "-"), type=convert, required=name == "epsilon")
     p.add_argument("--seed", type=int, required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="newline-delimited reals")
@@ -265,24 +256,23 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only code that maps a failure to its exit code."""
     try:
         args = _parser().parse_args(argv)
         if [] in vars(args).values():  # Python 3.11 parses "--flag=--" to []
-            raise _UsageError("an option was given '--' as its value")
-        if getattr(args, "synthetic", False) and args.n is None:
-            raise _UsageError("--synthetic requires --n")
+            raise ValueError("an option was given '--' as its value")
         return args.func(args)
     except _Exit as exc:
         return exc.args[0]
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as exc:  # a draw too large to allocate
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+    except (BudgetError, MemoryError) as exc:
+        what = "out of memory: " if isinstance(exc, MemoryError) else ""  # a draw too large
+        print(f"error: {what}{exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except BrokenPipeError:  # stdout's reader went away; keep the flush at exit quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: standard output was closed", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -12,7 +12,9 @@ the pilot's initial guess when none is available.
 Data enters in caller order, as ``layout`` plans it: the first n1
 samples form stage one, and for the three-stage variant the first bits *
 floor(n0 / bits) samples feed the bisection and the pilot starts at n0.
-Callers shuffle if their data is not exchangeable.
+Callers shuffle if their data is not exchangeable.  ``estimate``, which
+every kind runs through, rejects empty or non-finite data before it draws
+and an estimate that overflows float64, each with a ValueError.
 """
 
 from __future__ import annotations
@@ -198,12 +200,22 @@ def draw_keep_bits(rng: np.random.Generator, p_eps: float, keep, scratch) -> Non
 
 def estimate(kind: str, data, config: EstimatorConfig,
              rng: np.random.Generator) -> EstimateResult:
-    """Run the ``kind`` estimator on ``data`` as one row; its checks precede ``draw_keep_bits``."""
+    """Run the ``kind`` estimator on ``data`` as one row.
+
+    A ValueError rejects empty or non-finite data and then the layout, before
+    ``draw_keep_bits``, and an estimate that overflows float64 after the stages.
+    """
     x = np.asarray(data, dtype=float).reshape(1, -1)
+    if not x.size:
+        raise ValueError("no data values")
+    if not np.isfinite(x).all():
+        raise ValueError("data values must be finite")
     m, p_eps = released_bits(kind, x.shape[1], config), privacy_params(config.epsilon).p_eps
     keep = np.empty((1, m), dtype=bool)
     draw_keep_bits(rng, p_eps, keep[0], np.empty(min(m, _PIECE)))
     estimates, clamped = ([stage[0] for stage in part] for part in stage_rows(kind, x, keep, config))
+    if not all(map(math.isfinite, estimates)):
+        raise ValueError("an estimate overflows float64; sigma or the data are too large")
     return EstimateResult(estimates[-1], tuple(estimates), tuple(clamped))
 
 

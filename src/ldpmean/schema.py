@@ -1,8 +1,9 @@
 """What the command line needs to know before any numeric module loads.
 
 The estimator kinds (``estimators``), the largest level the simplex
-solves (``lp``) and ``real``, the float converter of the CLI flags and the
-config file (``sim``), on the standard library alone, so ``import
+solves (``lp``), ``real``, the float converter of the CLI flags and the
+config file (``sim``), and ``BudgetError``, which ``sim`` raises and
+``cli.main`` maps to exit 4, on the standard library alone, so ``import
 ldpmean.cli`` and its parser load no numpy.
 """
 
@@ -10,6 +11,10 @@ import math
 
 ESTIMATOR_KINDS = ("one", "two", "three")
 MAX_SOLVE_K = 12  # where tests check the interval optimum against the 2^k program
+
+
+class BudgetError(RuntimeError):
+    """A run over its resources: the configured draw budget, or a pool worker killed."""
 
 
 def real(raw: str) -> float:

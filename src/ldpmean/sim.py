@@ -50,7 +50,7 @@ from .estimators import (
 # Not called here: perfbench/layertrace.py rebinds these four names of sim.
 from .estimators import one_stage, rescaled_estimate, three_stage, two_stage  # noqa: F401
 from .mechanisms import privacy_params
-from .schema import real
+from .schema import BudgetError, real
 
 SWEEP_NAMES = ("n1", "theta0", "n")
 _BLOCK_ELEMS = 2 ** 16  # samples per replicate block, and indices per bootstrap block
@@ -69,10 +69,6 @@ _SEED_CHUNK = 4096  # replicates hashed per numpy pass
 # (``_pool``), so one-worker runs never load multiprocessing; looked up at
 # call time, so perfbench/layertrace.py and the tests may rebind it.
 ProcessPoolExecutor = None
-
-
-class BudgetError(RuntimeError):
-    """Raised when a run would exceed the configured draw budget."""
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -466,7 +462,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MseResult
     front, each point's bootstrap once its spans are in; this process only
     merges spans and builds rows.  A task is a zero-argument call: a pool
     future's ``result``, or inline the work itself.  The pool has at most one
-    worker per usable CPU.
+    worker per usable CPU.  A worker killed mid-run (as by an out-of-memory
+    killer) breaks the pool: the run ends in a ``BudgetError`` once the other
+    workers have stopped.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -508,9 +506,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MseResult
                     theory_one_stage=one_stage_asymptotic_variance(
                         theta_n, est_cfg.theta0, params, config.sigma),
                 ))
-        except BaseException:
-            if pool is not None:  # drop tasks no worker took, wait for the rest
-                pool.shutdown(cancel_futures=True)
+        except BaseException as exc:
+            if pool is None:
+                raise
+            pool.shutdown(cancel_futures=True)  # drop tasks no worker took, wait for the rest
+            from concurrent.futures import BrokenExecutor
+            if isinstance(exc, BrokenExecutor):
+                raise BudgetError(f"a pool worker died: {exc}") from None
             raise
     return results
 

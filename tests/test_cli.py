@@ -1,16 +1,21 @@
 import argparse
+import ast
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ldpmean.cli as cli
+import ldpmean.estimators as estimators
 import ldpmean.lp as lp
 import ldpmean.sim as sim
 from ldpmean.cli import (
@@ -95,6 +100,27 @@ def test_negative_exponent_value_is_a_number(capsys, argv, message):
     else:
         assert_one_line_usage_error(code, err)
         assert message in err
+
+
+def test_only_main_maps_failures_to_exit_codes():
+    # a command returns EXIT_OK or EXIT_VERIFY and raises on failure: main alone writes
+    # to stderr and returns 1, 3 or 4
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name != "main"]
+    commands = [f for f in functions if f.name.startswith("_cmd_")]
+    assert len(commands) == 4
+    for function in functions:
+        names = {n.id for n in ast.walk(function) if isinstance(n, ast.Name)}
+        attrs = {n.attr for n in ast.walk(function) if isinstance(n, ast.Attribute)}
+        assert "stderr" not in names | attrs, function.name
+        assert names.isdisjoint({"EXIT_USAGE", "EXIT_IO", "EXIT_BUDGET"}), function.name
+    for command in commands:
+        for ret in (n for n in ast.walk(command) if isinstance(n, ast.Return)):
+            value = ret.value
+            values = [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
+            assert {getattr(v, "id", None) for v in values} <= {"EXIT_OK", "EXIT_VERIFY"}, (
+                command.name)
 
 
 class TestFisher:
@@ -250,6 +276,19 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.returncode == EXIT_IO
         assert proc.stderr.decode().splitlines() == ["error: standard output was closed"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_is_an_io_error(self):
+        # every write to /dev/full fails with ENOSPC, and so would the flush at exit
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "ldpmean", "fisher", "--epsilon", "1"],
+                                  stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+        assert proc.returncode == EXIT_IO
+        err = proc.stderr.decode().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write standard output: ")
 
 
 class TestConfigParsing:
@@ -583,6 +622,25 @@ class TestSimulate:
         assert not out.exists()
         assert _temporary_files(tmp_path) == []
 
+    def test_killed_worker_is_budget_error(self, tmp_path, capsys, monkeypatch):
+        # the first task SIGKILLs its worker, as an out-of-memory killer would
+        class KillFirstTask(ProcessPoolExecutor):
+            killed = False
+
+            def submit(self, fn, /, *args):
+                if not self.killed:
+                    self.killed = True
+                    fn, args = signal.raise_signal, (signal.SIGKILL,)
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", KillFirstTask)
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+        code, err, out = simulate_text(capsys, tmp_path, SMALL_CFG, "--workers", "2")
+        assert code == EXIT_BUDGET
+        assert err.startswith("error: a pool worker died: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+        assert multiprocessing.active_children() == []
+
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(SMALL_CFG.encode() + b"# caf\xe9\n")
@@ -764,7 +822,7 @@ class TestEstimate:
     def test_empty_data_file_is_usage_error(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("\n  \n")
-        monkeypatch.setattr(cli, "estimate", _no_work)
+        monkeypatch.setattr(estimators, "draw_keep_bits", _no_work)
         code, out, err = run_cli(capsys, "estimate", "--epsilon", "1", "--seed", "1",
                                  "--input", str(path))
         assert_one_line_usage_error(code, err)

@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -543,6 +544,26 @@ class TestPrivacyAudit:
         with pytest.raises(ValueError, match=match):
             estimate(kind, np.zeros(500), cfg, rng)
         assert rng.uniforms == 0
+
+    @pytest.mark.parametrize("run", [partial(estimate, "two"), one_stage, two_stage, three_stage])
+    @pytest.mark.parametrize("data, match", [
+        ([math.nan] * 1000, "data values must be finite"),
+        ([0.0] * 500 + [math.inf] + [0.0] * 499, "data values must be finite"),
+        ([], "no data values"),
+    ])
+    def test_rejected_data_draws_nothing(self, run, data, match):
+        # the data checks precede the layout check: 1000 samples are too few for three
+        rng = CountingRng(7)
+        with pytest.raises(ValueError, match=match):
+            run(data, EstimatorConfig(epsilon=1.0), rng)
+        assert rng.uniforms == 0
+
+    @pytest.mark.parametrize("kind", ["one", "two"])
+    def test_overflowing_estimate_is_rejected(self, kind):
+        # a stage moves up to 38 sigmas from its center, past the largest double
+        cfg = EstimatorConfig(epsilon=1.0, theta0=1.5e308, sigma=1.7e307)
+        with pytest.raises(ValueError, match="an estimate overflows float64"):
+            estimate(kind, [1.7e308] * 2000, cfg, np.random.default_rng(1))
 
     @pytest.mark.parametrize("eps", [0.5, 1.0])
     def test_channel_is_epsilon_valid(self, eps):

@@ -61,11 +61,13 @@ ORACLES = ["verify_ldp", "staircase_matrix", "mechanism_from_solution", "certifi
            "interval_partition_optimum"]
 # The config file format has one owner, sim, beside ExperimentConfig; cli's exception
 # class for it and its cached field builder are gone, and cli imports the float converter
-# from schema.
+# from schema.  cli.main maps every failure to its exit code: cli's own usage exception
+# is gone (a usage error is a ValueError), and it catches BudgetError from schema.
 DELETED = ["rr_matrix", "row_information", "_column_bits", "_program_matrix", "_prefix_basis",
-           "ConfigError", "_config_fields"]
+           "ConfigError", "_config_fields", "_UsageError"]
 HOMES = {"parse_kv": "ldpmean.sim", "experiment_config_from_text": "ldpmean.sim",
-         "manifest_text": "ldpmean.sim", "_converter": "ldpmean.sim", "real": "ldpmean.schema"}
+         "manifest_text": "ldpmean.sim", "_converter": "ldpmean.sim", "real": "ldpmean.schema",
+         "BudgetError": "ldpmean.schema"}
 
 
 def _probe():
