@@ -89,6 +89,9 @@ class _Parser(argparse.ArgumentParser):
     def exit(self, status=0, message=None):  # only --help and --version reach it
         raise _Exit(status)
 
+    def _print_message(self, message, file=None):  # only --help and --version text reaches it
+        _write(message)  # argparse's own would swallow a failed write and exit 0
+
 
 def _json_ready(obj):
     """Make a payload JSON-safe, spelling non-finite floats as strings."""
@@ -101,13 +104,19 @@ def _json_ready(obj):
     return obj
 
 
-def _emit(payload: dict) -> None:
+def _write(text: str) -> None:
+    """Write ``text`` to standard output, the only code that does; a failed write is an OSError."""
     try:
-        print(json.dumps(_json_ready(payload), indent=2), flush=True)
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as exc:  # a closed pipe or a full device; keep the flush at exit quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise OSError("standard output was closed" if isinstance(exc, BrokenPipeError)
                       else f"cannot write standard output: {exc}") from None
+
+
+def _emit(payload: dict) -> None:
+    _write(json.dumps(_json_ready(payload), indent=2) + "\n")
 
 
 # --- subcommands ------------------------------------------------------------

@@ -34,6 +34,7 @@ the sweep reports a column with negative slack.
 Every verdict is one rule, ``_agree``: the chain's three values must each
 match (2/pi) t_eps^2, and the sweep's worst column its own two terms, to
 within ROUND_OFF (1e-9) of the larger magnitude or the smallest normal double.
+ROUND_OFF is the module's one tolerance: the simplex prices and pivots by it too.
 
 Budgets whose staircase arithmetic would overflow float64, that is with
 k e^(2 eps) beyond the largest double (eps above about 354.9 - ln(k) / 2,
@@ -56,6 +57,7 @@ from .quantized import build_quantized_model, row_information_many, sign_fisher_
 from .schema import MAX_SOLVE_K
 
 _SWEEP_BLOCK = 1 << 18    # corner slacks evaluated per block of the sweep grid
+_MAX_PIVOTS = 100_000     # the simplex's iteration cap
 ROUND_OFF = 1e-9          # relative gap that every comparison of lp-verify forgives
 
 
@@ -168,30 +170,31 @@ def build_staircase_lp(k: int, params: PrivacyParams) -> StaircaseLp:
 
 
 def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
-                 inverse: np.ndarray, tol: float = 1e-9, max_iter: int = 100_000):
+                 inverse: np.ndarray):
     """Maximize c @ x subject to A x = b, x >= 0, from a feasible ``basis``.
 
     Revised simplex: it keeps only [x_B | B^-1] (m by m + 1), starting
     from the caller's ``inverse`` = inv(A[:, basis]), and prices with
     y = c_B B^-1 as c - y A.  The entering column is the one with the
-    largest reduced cost (Dantzig's rule), if that cost exceeds ``tol``
+    largest reduced cost (Dantzig's rule), if that cost exceeds ROUND_OFF
     times the largest |c|: an absolute threshold would stop at the first
-    vertex for tiny objectives.  Ties in the min-ratio test on B^-1 a_e
-    are broken lexicographically: among the tied rows the leaving one has
-    the smallest row of B^-1 divided by its pivot entry, the first such
-    row on equal rows.  That rule keeps every row of [x_B | B^-1]
-    lexicographically positive, which the caller's basis must make true
-    at the start, so no basis repeats: the heavily degenerate staircase
-    programs cannot cycle.  The ratio test runs on Python floats, as its
-    m rows are too few to repay numpy's per-call cost.  Returns (x,
-    value, pivots).
+    vertex for tiny objectives.  The min-ratio test on B^-1 a_e reads only
+    pivot entries above ROUND_OFF, and the ratios within ROUND_OFF (1 +
+    |least|) of the least one tie.  Ties are broken lexicographically:
+    among the tied rows the leaving one has the smallest row of B^-1
+    divided by its pivot entry, the first such row on equal rows.  That
+    rule keeps every row of [x_B | B^-1] lexicographically positive,
+    which the caller's basis must make true at the start, so no basis
+    repeats: the heavily degenerate staircase programs cannot cycle.  The
+    ratio test runs on Python floats, as its m rows are too few to repay
+    numpy's per-call cost.  Returns (x, value, pivots).
     """
     m, n = A.shape
     basis = np.array(basis)
     table = np.hstack([np.reshape(inverse @ b, (m, 1)), inverse])  # [x_B | B^-1]
     x_basic, inverse = table[:, 0], table[:, 1:]
-    cost_tol = tol * float(np.abs(c).max())
-    for pivots in range(max_iter):
+    cost_tol = ROUND_OFF * float(np.abs(c).max())
+    for pivots in range(_MAX_PIVOTS):
         reduced = c - (c[basis] @ inverse) @ A
         reduced[basis] = 0.0
         entering = int(np.argmax(reduced))
@@ -201,11 +204,11 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
             return x, float(c @ x), pivots
         col = inverse @ A[:, entering]
         pivot_col, x_list = col.tolist(), x_basic.tolist()
-        ratios = {i: x_list[i] / a for i, a in enumerate(pivot_col) if a > tol}
+        ratios = {i: x_list[i] / a for i, a in enumerate(pivot_col) if a > ROUND_OFF}
         if not ratios:
             raise RuntimeError("unbounded program (cannot happen: feasible set is bounded)")
         cutoff = min(ratios.values())
-        cutoff += tol * (1.0 + abs(cutoff))
+        cutoff += ROUND_OFF * (1.0 + abs(cutoff))
         row = min((i for i, ratio in ratios.items() if ratio <= cutoff),
                   key=lambda i: [v / pivot_col[i] for v in inverse[i].tolist()])
         table[row] /= col[row]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 import os
 import sys
 from dataclasses import MISSING, Field, dataclass, field, fields
@@ -55,6 +54,8 @@ from .schema import BudgetError, real
 SWEEP_NAMES = ("n1", "theta0", "n")
 _BLOCK_ELEMS = 2 ** 16  # samples per replicate block, and indices per bootstrap block
 _STAGE_REACH = 77.0  # sigmas two stages can move an estimate from its first center
+_LEVEL = 0.95  # the bootstrap interval's confidence level
+_RESAMPLES = 1000  # bootstrap resamples per interval
 
 # numpy's SeedSequence hash and PCG64 seeding, for _replicate_states
 _MASK32 = 0xFFFF_FFFF
@@ -385,14 +386,13 @@ def _run_block(config: ExperimentConfig, sweep_index: int,
     return r_lo, errors, clamps
 
 
-def bootstrap_ci(values, level: float = 0.95, resamples: int = 1000, *,
-                 rng: np.random.Generator) -> tuple[float, float]:
+def bootstrap_ci(values, *, rng: np.random.Generator) -> tuple[float, float]:
     """Percentile bootstrap interval for the mean of ``values``.
 
-    Resampling happens at the entry (replicate) level.  ``values`` must be
-    1-D and finite with at least two entries, and ``resamples`` an integer
-    >= 1, or this raises ValueError.  Identical inputs give a zero-width
-    interval.
+    The interval's level is ``_LEVEL`` and it takes ``_RESAMPLES``
+    resamples at the entry (replicate) level.  ``values`` must be
+    1-D and finite with at least two entries, or this raises ValueError.
+    Identical inputs give a zero-width interval.
 
     Each ``rng.integers`` call draws max(1, 2**16 // n) resamples of the n
     entries, about 2**16 indices.  The split cannot change the result:
@@ -400,17 +400,13 @@ def bootstrap_ci(values, level: float = 0.95, resamples: int = 1000, *,
     half of a 64-bit word for the next call, so every split draws the same
     indices, and each mean is the same pairwise sum over one row.
 
-    The ends are the q = tail and 1 - tail quantiles, tail = (1 - level) /
+    The ends are the q = tail and 1 - tail quantiles, tail = (1 - _LEVEL) /
     2, of the R sorted resample means s by numpy's default "linear" rule
     (Hyndman-Fan type 7), which ``np.quantile`` gives bit for bit: with pos
     = q (R - 1), i = floor(pos), g = pos - i, a = s[i] and b = s[min(i + 1,
     R - 1)], the end is b - (b - a)(1 - g) when g >= 0.5 and a + (b - a) g
     otherwise.  ``np.quantile`` itself would load numpy.ma (via np.unique).
     """
-    if not isinstance(resamples, numbers.Integral) or resamples < 1:
-        raise ValueError(f"resamples must be an integer >= 1, got {resamples!r}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level!r}")
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size < 2:
         raise ValueError(f"bootstrap needs two or more values in 1-D, got shape {vals.shape}")
@@ -419,14 +415,14 @@ def bootstrap_ci(values, level: float = 0.95, resamples: int = 1000, *,
     if vals.min() == vals.max():
         v = float(vals[0])
         return v, v
-    means = np.empty(resamples)
+    means = np.empty(_RESAMPLES)
     n = vals.size
     rows = max(1, _BLOCK_ELEMS // n)
-    for start in range(0, resamples, rows):
-        idx = rng.integers(0, n, size=(min(rows, resamples - start), n))
+    for start in range(0, _RESAMPLES, rows):
+        idx = rng.integers(0, n, size=(min(rows, _RESAMPLES - start), n))
         means[start:start + rows] = vals[idx].mean(axis=1)
     means.sort()
-    tail = (1.0 - level) / 2.0
+    tail = (1.0 - _LEVEL) / 2.0
     return _sorted_quantile(means, tail), _sorted_quantile(means, 1.0 - tail)
 
 
@@ -451,7 +447,7 @@ def _pool(workers: int):
 def _bootstrap(master_seed: int, s: int, sq: np.ndarray) -> tuple[float, float]:
     """Bootstrap interval of point s's squared errors, seeded by spawn_key (s, 1)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(s, 1)))
-    return bootstrap_ci(sq, level=0.95, resamples=1000, rng=rng)
+    return bootstrap_ci(sq, rng=rng)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MseResult]:

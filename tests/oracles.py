@@ -141,22 +141,22 @@ def mechanism_from_solution(solution: PrimalSolution, lp: StaircaseLp,
     return (staircase_matrix(lp)[:, support] * solution.alpha[support]).T
 
 
-def simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
-                tol: float = 1e-9, max_iter: int = 100_000):
+def simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int]):
     """Maximize c @ x subject to A x = b, x >= 0, from a feasible ``basis``.
 
     The same pivoting rules as ``lp._simplex_max`` (Dantzig's entering
-    column above ``tol`` times the largest |c|, the min-ratio test with
-    lexicographic ties), each step a numpy call.  Returns (x, value,
-    pivots).
+    column above ``tol`` = 1e-9 times the largest |c|, the min-ratio test
+    with lexicographic ties), each step a numpy call, and the same cap of
+    100 000 pivots.  Returns (x, value, pivots).
     """
+    tol = 1e-9
     m, n = A.shape
     basis = np.array(basis)
     inverse = np.linalg.inv(A[:, basis])
     table = np.hstack([np.reshape(inverse @ b, (m, 1)), inverse])  # [x_B | B^-1]
     x_basic, inverse = table[:, 0], table[:, 1:]
     cost_tol = tol * float(np.abs(c).max())
-    for pivots in range(max_iter):
+    for pivots in range(100_000):
         reduced = c - (c[basis] @ inverse) @ A
         reduced[basis] = 0.0
         entering = int(np.argmax(reduced))

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import errno
 import json
 import math
 import multiprocessing
@@ -289,6 +290,37 @@ class TestClosedStdout:
         assert proc.returncode == EXIT_IO
         err = proc.stderr.decode().splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write standard output: ")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    @pytest.mark.parametrize("exc, line", [
+        pytest.param(OSError(errno.ENOSPC, "No space left on device"),
+                     "error: cannot write standard output: ", id="full"),
+        pytest.param(BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                     "error: standard output was closed", id="closed"),
+    ])
+    def test_failed_help_or_version_write_is_an_io_error(self, monkeypatch, capsys, tmp_path,
+                                                          flag, exc, line):
+        # argparse's _print_message swallows a failed write, so --help and --version
+        # exited 0 with nothing written
+        class FailingStdout:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise exc
+
+            def flush(self):
+                pass
+
+            def fileno(self):  # the guard points this descriptor at devnull
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as target:
+            monkeypatch.setattr(sys, "stdout", FailingStdout(target.fileno()))
+            code = main([flag])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(line), err
 
 
 class TestConfigParsing:

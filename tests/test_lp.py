@@ -338,8 +338,7 @@ class TestAntiCycling:
         # by the lowest basic index cycles through six bases forever; the
         # lexicographic rule leaves the cycle.
         x, value, pivots = lp_module._simplex_max(BEALE_A[rows], BEALE_B[rows], BEALE_C, rows,
-                                                  np.linalg.inv(BEALE_A[rows][:, rows]),
-                                                  max_iter=1000)
+                                                  np.linalg.inv(BEALE_A[rows][:, rows]))
         assert value == pytest.approx(1.25, abs=1e-12)
         assert np.allclose(x, [0.75, 0, 0, 1, 0, 1, 0], atol=1e-12)
         assert pivots <= 10
@@ -385,9 +384,8 @@ class TestSimplexOracle:
     @pytest.mark.parametrize("rows", [[0, 1, 2], [1, 0, 2]])
     def test_same_path_on_beale(self, rows):
         args = (BEALE_A[rows], BEALE_B[rows], BEALE_C, rows)
-        x_ref, value_ref, pivots_ref = simplex_max(*args, max_iter=1000)
-        x, value, pivots = lp_module._simplex_max(*args, np.linalg.inv(BEALE_A[rows][:, rows]),
-                                                  max_iter=1000)
+        x_ref, value_ref, pivots_ref = simplex_max(*args)
+        x, value, pivots = lp_module._simplex_max(*args, np.linalg.inv(BEALE_A[rows][:, rows]))
         assert np.array_equal(x, x_ref)
         assert value == value_ref
         assert pivots == pivots_ref

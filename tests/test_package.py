@@ -10,6 +10,7 @@ looks up on ``ldpmean.cli``.  The reference forms that only the tests use
 have theirs in ``tests/oracles.py``.
 """
 
+import inspect
 import json
 import subprocess
 import sys
@@ -93,6 +94,16 @@ def test_test_only_forms_have_one_import_path():
 
 def test_moved_names_are_defined_in_one_module():
     assert _probe()["homes"] == {name: [home] for name, home in HOMES.items()}
+
+
+def test_fixed_settings_are_constants_not_parameters():
+    # every command calls these with one level, resample count, tolerance and pivot cap,
+    # so those are module constants (sim._LEVEL, sim._RESAMPLES, lp.ROUND_OFF and
+    # lp._MAX_PIVOTS), not parameters
+    from ldpmean import lp, sim
+    assert list(inspect.signature(sim.bootstrap_ci).parameters) == ["values", "rng"]
+    assert list(inspect.signature(lp._simplex_max).parameters) == ["A", "b", "c", "basis",
+                                                                  "inverse"]
 
 
 def test_package_exports_only_version_and_submodules():

@@ -53,3 +53,7 @@ def test_largest_normal_quantile():
     assert 2 * reach <= sim._STAGE_REACH
     assert f"{reach:.2f} sigma" in README
     assert f"(d + {sim._STAGE_REACH:g} sigma)^2" in README
+
+
+def test_bootstrap_level_and_resamples():
+    assert f"{sim._LEVEL:.0%} percentile bootstrap from {sim._RESAMPLES} resamples" in README
